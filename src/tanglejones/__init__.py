@@ -14,7 +14,6 @@ from .decat import (
     boundary,
     bracket,
     decat_vector,
-    decat_vector_factored,
     generators,
     jones,
     pair,
@@ -64,7 +63,6 @@ __all__ = [
     "boundary",
     "generators",
     "decat_vector",
-    "decat_vector_factored",
     "pair",
     "jones",
     "bracket",

@@ -18,6 +18,13 @@ Gradings of a decorated resolution with resolution bits rho:
 
 and the contribution is (-1)^h * q^i on the boundary generator obtained by
 deleting the free circles.
+
+One engine walks the resolution cube.  A free circle summed over its two
+decorations contributes q + q^(-1), so each resolution is only counted, on
+its boundary generator, by its number of 1-smoothings and of free circles;
+the counts then expand into polynomials with binomial coefficients.
+``decat_vector`` and ``bracket`` both read that engine; ``generators``
+still lists every decorated resolution one by one.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Iterator, Mapping
 
 from .cleaved import CleavedGen, circles_of
@@ -45,14 +53,10 @@ __all__ = [
     "boundary",
     "generators",
     "decat_vector",
-    "decat_vector_factored",
     "pair",
     "jones",
     "bracket",
 ]
-
-# The weight of one free circle summed over its two decorations.
-_FREE_WEIGHT = HalfLaurent({2: 1, -2: 1})
 
 _EMPTY_GEN = CleavedGen(Matching.empty(), Matching.empty(), ())
 
@@ -177,77 +181,65 @@ class DecatVector:
         return f"<DecatVector n={self.n}, {len(self._coeffs)} generators>"
 
 
-def _accumulated(acc: dict[CleavedGen, dict[int, int]], n: int) -> DecatVector:
-    return DecatVector(n, {g: HalfLaurent(terms) for g, terms in acc.items()})
+def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], int]]:
+    """How many resolutions reach each boundary cleaved link, and how.
+
+    The one loop over the resolution cube.  Each resolution, glued along
+    every far-side matching and decorated on its cut circles, reaches one
+    boundary generator; it is counted there under the pair (number of
+    1-smoothings, number of free circles), which is all its contribution
+    depends on once the free circles are summed over their decorations.
+    """
+    ensure_valid(t)
+    far_matchings = enumerate_matchings(t.endpoints // 2)
+    counts: dict[CleavedGen, dict[tuple[int, int], int]] = {}
+    for rho in product((0, 1), repeat=len(t.crossings)):
+        state = resolve(t, rho)
+        how = (sum(rho), len(state.free_circles))
+        for far in far_matchings:
+            if t.side == "inside":
+                ins, outs = state.lam, far
+            else:
+                ins, outs = far, state.lam
+            k = len(circles_of(ins, outs))
+            for cut_decs in product((1, -1), repeat=k):
+                by_how = counts.setdefault(CleavedGen(ins, outs, cut_decs), {})
+                by_how[how] = by_how.get(how, 0) + 1
+    return counts
+
+
+def _state_sum(
+    counts: Mapping[tuple[int, int], int], h0: int, e0: int, half2: int
+) -> HalfLaurent:
+    """Sum count * (-1)^(ones + h0) * q^(ones + e0 + half2/2) * (q + q^(-1))^free.
+
+    ``counts`` maps (ones, free) to a number of resolutions; the free-circle
+    weight is expanded by binomial coefficients.
+    """
+    terms: dict[int, int] = {}
+    for (ones, free), count in counts.items():
+        signed = -count if (ones + h0) % 2 else count
+        base2 = 2 * (ones + e0 + free) + half2
+        for j in range(free + 1):
+            e2 = base2 - 4 * j
+            terms[e2] = terms.get(e2, 0) + signed * comb(free, j)
+    return HalfLaurent(terms)
 
 
 def decat_vector(t: TangleDiagram) -> DecatVector:
-    """The invariant vector of a tangle by full decoration enumeration.
+    """The invariant vector of a tangle.
 
-    Sums (-1)^h * q^i over every resolution, every far-side matching and
-    every decoration of the free and cut circles, into the coefficient of
-    the boundary cleaved link.
+    Each boundary generator collects (-1)^h * q^i from every decorated
+    resolution that reaches it, the free circles summed over their
+    decorations as powers of q + q^(-1).
     """
-    ensure_valid(t)
-    n = t.endpoints // 2
+    counts = _state_counts(t)
     n_plus, n_minus = crossing_counts(t)
-    shift = n_plus - n_minus
-    far_matchings = enumerate_matchings(n)
-    acc: dict[CleavedGen, dict[int, int]] = {}
-    for rho in product((0, 1), repeat=len(t.crossings)):
-        state = resolve(t, rho)
-        h = sum(rho) - n_minus
-        sign = -1 if h % 2 else 1
-        free_count = len(state.free_circles)
-        base2 = 2 * (h + shift)
-        for far in far_matchings:
-            if t.side == "inside":
-                ins, outs = state.lam, far
-            else:
-                ins, outs = far, state.lam
-            k = len(circles_of(ins, outs))
-            for cut_decs in product((1, -1), repeat=k):
-                g = CleavedGen(ins, outs, cut_decs)
-                terms = acc.setdefault(g, {})
-                cut2 = base2 + sum(cut_decs)
-                for free_decs in product((1, -1), repeat=free_count):
-                    e2 = cut2 + 2 * sum(free_decs)
-                    terms[e2] = terms.get(e2, 0) + sign
-    return _accumulated(acc, n)
-
-
-def decat_vector_factored(t: TangleDiagram) -> DecatVector:
-    """The invariant vector with free circles factored out.
-
-    Summing a free circle over its two decorations multiplies the
-    contribution by q + q^(-1), so each (resolution, matching, cut
-    decoration) triple contributes one monomial times that weight raised to
-    the number of free circles.  This is an independent evaluation path
-    used to cross-check :func:`decat_vector`.
-    """
-    ensure_valid(t)
-    n = t.endpoints // 2
-    n_plus, n_minus = crossing_counts(t)
-    shift = n_plus - n_minus
-    far_matchings = enumerate_matchings(n)
-    coeffs: dict[CleavedGen, HalfLaurent] = {}
-    for rho in product((0, 1), repeat=len(t.crossings)):
-        state = resolve(t, rho)
-        h = sum(rho) - n_minus
-        weight = _FREE_WEIGHT ** len(state.free_circles)
-        base2 = 2 * (h + shift)
-        sign = -1 if h % 2 else 1
-        for far in far_matchings:
-            if t.side == "inside":
-                ins, outs = state.lam, far
-            else:
-                ins, outs = far, state.lam
-            k = len(circles_of(ins, outs))
-            for cut_decs in product((1, -1), repeat=k):
-                g = CleavedGen(ins, outs, cut_decs)
-                mono = HalfLaurent({base2 + sum(cut_decs): sign})
-                coeffs[g] = coeffs.get(g, ZERO) + mono * weight
-    return DecatVector(n, coeffs)
+    h0, e0 = -n_minus, n_plus - 2 * n_minus
+    return DecatVector(
+        t.endpoints // 2,
+        {g: _state_sum(by_how, h0, e0, sum(g.decs)) for g, by_how in counts.items()},
+    )
 
 
 def pair(a: DecatVector, d: DecatVector) -> HalfLaurent:
@@ -287,11 +279,4 @@ def bracket(t: TangleDiagram) -> HalfLaurent:
     """
     if t.endpoints != 0:
         raise DiagramError(f"bracket needs a closed diagram, got {t.endpoints} endpoints")
-    ensure_valid(t)
-    total = ZERO
-    for rho in product((0, 1), repeat=len(t.crossings)):
-        state = resolve(t, rho)
-        ones = sum(rho)
-        sign = -1 if ones % 2 else 1
-        total = total + HalfLaurent({2 * ones: sign}) * _FREE_WEIGHT ** len(state.free_circles)
-    return total
+    return _state_sum(_state_counts(t)[_EMPTY_GEN], 0, 0, 0)

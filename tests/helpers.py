@@ -13,11 +13,16 @@ from functools import lru_cache
 from pathlib import Path
 
 from tanglejones import (
+    CleavedGen,
     Crossing,
     DecatVector,
+    HalfLaurent,
     TangleDiagram,
+    boundary,
     decat_vector,
     ensure_valid,
+    generators,
+    resolve,
 )
 from tanglejones.cli import load_tangle
 
@@ -40,6 +45,25 @@ def corpus_tangle(name: str) -> TangleDiagram:
 @lru_cache(maxsize=None)
 def decat_of(name: str) -> DecatVector:
     return decat_vector(corpus_tangle(name))
+
+
+def exhaustive_vector(t: TangleDiagram) -> DecatVector:
+    """The invariant vector by enumerating every decorated resolution.
+
+    Folds (-1)^h * q^i over ``generators(t)`` into the coefficient of each
+    generator's boundary cleaved link, one monomial per decoration of the
+    free circles.  This is the reference that ``decat_vector``, which sums
+    free circles as (q + q^(-1)) powers, is checked against.
+    """
+    acc: dict[CleavedGen, dict[int, int]] = {}
+    rho = state = None
+    for g in generators(t):
+        if g.rho != rho:
+            rho, state = g.rho, resolve(t, g.rho)
+        terms = acc.setdefault(boundary(state, g.far_matching, g.cut_decs, t.side), {})
+        e2 = int(2 * g.i)
+        terms[e2] = terms.get(e2, 0) + (-1 if g.h % 2 else 1)
+    return DecatVector(t.endpoints // 2, {b: HalfLaurent(terms) for b, terms in acc.items()})
 
 
 def with_extra_loop(t: TangleDiagram) -> TangleDiagram:

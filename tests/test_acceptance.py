@@ -14,7 +14,6 @@ from functools import lru_cache
 from tanglejones import (
     bracket,
     decat_vector,
-    decat_vector_factored,
     enumerate_cleaved,
     jones,
     monomial,
@@ -32,6 +31,7 @@ from .helpers import (
     corpus_path,
     corpus_tangle,
     decat_of,
+    exhaustive_vector,
     glue,
     random_partial_resolutions,
     random_strand_tangle,
@@ -264,7 +264,17 @@ def test_c11_reidemeister_invariance():
 
 def test_c12_factored_evaluation_oracle():
     """Free circles contribute (q + 1/q) factors: the factored evaluation
-    equals exhaustive decoration enumeration on every corpus tangle."""
-    for name in corpus_names():
+    equals exhaustive decoration enumeration over generators() on every
+    corpus tangle, the kt partial resolutions, seeded random kink chains,
+    and diagrams with extra crossingless loops."""
+    diagrams = [corpus_tangle(name) for name in corpus_names()]
+    diagrams += kt_partials()
+    rng = random.Random(SEED + 1)
+    diagrams += [random_strand_tangle(rng, max_kinks=5) for _ in range(10)]
+    for name in ("t_left", "trefoil"):
         t = corpus_tangle(name)
-        assert decat_vector_factored(t) == decat_vector(t), name
+        for _ in range(3):
+            t = with_extra_loop(t)
+            diagrams.append(t)
+    for t in diagrams:
+        assert decat_vector(t) == exhaustive_vector(t), (t.name, t.loops)

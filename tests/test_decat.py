@@ -10,6 +10,7 @@ from tanglejones import (
     DecatVector,
     DiagramError,
     Matching,
+    TangleDiagram,
     boundary,
     bracket,
     decat_vector,
@@ -21,8 +22,9 @@ from tanglejones import (
     parse,
     resolve,
 )
+from tanglejones.cli import main
 
-from .helpers import corpus_names, corpus_tangle, decat_of, glue
+from .helpers import corpus_names, corpus_tangle, decat_of, glue, with_extra_loop
 
 
 def key_coeffs(v: DecatVector) -> dict[str, str]:
@@ -162,3 +164,25 @@ def test_scalar_identities():
     q = monomial(0, 1)
     assert q == parse("q")
     assert monomial(1, 1) == -q
+
+
+def test_free_loops_factor_as_circle_powers(tmp_path, capsys):
+    # Each crossingless loop multiplies the value by q + q^(-1); summing
+    # its decorations one by one would cost 2^loops per resolution.
+    circle = parse("q + q^(-1)")
+    loops = TangleDiagram("loops40", "inside", 0, (), 40, {})
+    assert jones(loops) == bracket(loops) == circle**40
+
+    strand = corpus_tangle("strand1")
+    looped = strand
+    for _ in range(30):
+        looped = with_extra_loop(looped)
+    v, w = decat_vector(strand), decat_vector(looped)
+    assert w.support() == v.support()
+    for g in v.support():
+        assert w.get(g) == circle**30 * v.get(g)
+
+    path = tmp_path / "loops40.tangle"
+    path.write_text("tangle loops40\nside inside\nendpoints 0\nloop 40\n")
+    assert main(["jones", str(path)]) == 0
+    assert capsys.readouterr().out == (circle**40).render() + "\n"
