@@ -26,6 +26,8 @@ from .planar import Matching, enumerate_matchings
 
 __all__ = ["CleavedGen", "circles_of", "enumerate_cleaved"]
 
+_SIGNS = {1: "+", -1: "-"}
+
 
 @lru_cache(maxsize=None)
 def circles_of(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], ...]:
@@ -93,7 +95,7 @@ class CleavedGen:
         >>> CleavedGen(Matching.decode((4, 2)), Matching.decode((4, 2)), (-1, 1)).key()
         '[4,2|4,2|-+]'
         """
-        signs = "".join("+" if d > 0 else "-" for d in self.decs)
+        signs = "".join(map(_SIGNS.__getitem__, self.decs))
         return f"[{self.inside}|{self.outside}|{signs}]"
 
     def flip(self, circle_index: int) -> CleavedGen:

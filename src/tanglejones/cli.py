@@ -9,9 +9,10 @@ Verbs:
     basis N               all decorated cleaved links on 2N points
     mutate-check FILE     mutation-invariance report for a 4-endpoint tangle
 
-Exit codes: 0 on success, 1 on a semantic or validation error, 2 on a parse
-error (reported with its line number).  Results go to standard out,
-diagnostics to standard error.
+Exit codes: 0 on success (and for --help), 1 on a semantic or validation
+error, 2 on a usage error or on a parse error (reported with its line
+number); ``main`` returns the code and never raises SystemExit.  Results go
+to standard out, diagnostics to standard error.
 
 Tangle file format, line oriented; '#' starts a comment, blank lines are
 ignored; the first three directives are mandatory and in this order:
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .cleaved import enumerate_cleaved
@@ -53,7 +55,7 @@ class ParseError(Exception):
 
 
 def _positive_int(token: str, what: str, lineno: int, source: str) -> int:
-    if not token.isdigit() or int(token) < 1:
+    if not token.isdecimal() or int(token) < 1:
         raise ParseError(lineno, f"{what} must be a positive integer, got {token!r}", source)
     return int(token)
 
@@ -91,7 +93,7 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
             side = args[0]
             progress = 2
         elif directive == "endpoints":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise ParseError(lineno, "'endpoints' takes one nonnegative integer", source)
             endpoints = int(args[0])
             progress = 3
@@ -105,7 +107,7 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
         elif directive == "loop":
             if loops is not None:
                 raise ParseError(lineno, "duplicate 'loop' directive", source)
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise ParseError(lineno, "'loop' takes one nonnegative integer", source)
             loops = int(args[0])
         elif directive == "boundary":
@@ -183,8 +185,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"n": args.n, "count": len(keys), "keys": keys}))
     else:
-        for key in keys:
-            print(key)
+        print("\n".join(keys))
         print(f"count: {len(keys)}")
     return 0
 
@@ -206,7 +207,10 @@ def _cmd_mutate_check(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args never mutates the parser, and the
+    # handlers look the library functions up as module globals at call time.
     parser = argparse.ArgumentParser(
         prog="tanglejones",
         description="Decategorified bordered Khovanov invariants of tangles.",
@@ -233,7 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0); argparse wrote the message
+        return int(exc.code or 0)
     try:
         return args.func(args)
     except ParseError as err:

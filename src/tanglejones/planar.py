@@ -17,7 +17,7 @@ as its text form ("4,2" for the nested pair of arcs 1-4, 3-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -84,7 +84,7 @@ class Matching:
         >>> Matching.decode((2, 4)).encode()
         (2, 4)
         """
-        return tuple(self.pairs[p - 1] for p in range(1, 2 * self.n, 2))
+        return self.pairs[::2]
 
     @classmethod
     def decode(cls, code: Sequence[int]) -> Matching:
@@ -121,8 +121,13 @@ class Matching:
     def empty(cls) -> Matching:
         return cls(0, ())
 
+    @cached_property
+    def _text(self) -> str:
+        # Rendered on first use only: most matchings are never printed.
+        return ",".join(map(str, self.encode()))
+
     def __str__(self) -> str:
-        return ",".join(str(e) for e in self.encode())
+        return self._text
 
 
 def _arc_sets(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:

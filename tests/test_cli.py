@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tanglejones import cli
 from tanglejones.cli import ParseError, main, parse_tangle
 
 from .helpers import corpus_path
@@ -192,3 +193,73 @@ def test_crossing_arity_and_sign(tmp_path, capsys):
     path = write(tmp_path, "tangle x\nside inside\nendpoints 0\ncross + 1 1 2\n")
     code, _, err = run(capsys, "decat", path)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("tangle x\nside inside\nendpoints \u00b2\n", 3),
+        ("tangle x\nside inside\nendpoints 0\nloop \u00b2\n", 4),
+        ("tangle x\nside inside\nendpoints 2\nboundary 1 \u00b2\n", 4),
+        ("tangle x\nside inside\nendpoints 0\ncross + 1 \u00b2 2 1\n", 4),
+    ],
+    ids=["endpoints", "loop", "boundary", "cross"],
+)
+def test_non_decimal_digits_are_parse_errors(tmp_path, capsys, text, line):
+    # '\u00b2' (superscript two) passes str.isdigit() but int() rejects it
+    with pytest.raises(ParseError) as info:
+        parse_tangle(text)
+    assert info.value.line == line
+    code, out, err = run(capsys, "decat", write(tmp_path, text))
+    assert code == 2
+    assert out == ""
+    assert f"line {line}" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["frob"], ["basis", "x"], []], ids=["unknown-verb", "bad-int", "no-verb"]
+)
+def test_usage_errors_return_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: tanglejones")
+    assert "error:" in err
+
+
+def test_help_returns_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: tanglejones")
+    assert err == ""
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    code, out, _ = run(capsys, "basis", "--json", "1")
+    assert code == 0
+    assert json.loads(out)["count"] == 2
+    code, out, _ = run(capsys, "basis", "1")
+    assert code == 0
+    assert out.splitlines() == ["[2|2|+]", "[2|2|-]", "count: 2"]
+
+    assert run(capsys, "basis", "x")[0] == 2
+    code, out, err = run(capsys, "jones", UNKNOT)
+    assert (code, out, err) == (0, "q + q^(-1)\n", "")
+
+
+def test_handlers_look_up_library_functions_at_call_time(monkeypatch, capsys):
+    # Tracing wraps the module globals the handlers call; the parser built by
+    # an earlier call must not have captured the originals.
+    assert run(capsys, "decat", T_LEFT)[0] == 0
+    seen = []
+    real = cli.decat_vector
+
+    def spy(t):
+        seen.append(t.endpoints)
+        return real(t)
+
+    monkeypatch.setattr(cli, "decat_vector", spy)
+    code, out, _ = run(capsys, "decat", T_LEFT)
+    assert code == 0
+    assert seen == [4]
+    assert out.splitlines()[0] == "[2,4|2,4|++] : -q^3"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,3 +107,38 @@ def test_enumeration_is_sorted_and_distinct():
         codes = [m.encode() for m in enumerate_matchings(n)]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
+
+
+SMALL_MATCHINGS = [m for n in range(6) for m in enumerate_matchings(n)]
+
+
+def _fresh_copies(m):
+    """Never-printed copies of m from each constructor, plus its rotations."""
+    return [
+        Matching(m.n, m.pairs),
+        Matching.decode(m.encode()),
+        Matching.from_arcs(m.n, m.arcs()),
+        *(rotate_matching(m, steps) for steps in range(1, 2 * m.n + 1)),
+    ]
+
+
+def test_encoding_and_text_form_follow_the_arcs():
+    for m in SMALL_MATCHINGS:
+        for built in [m, *_fresh_copies(m)]:
+            assert built.encode() == tuple(even for _, even in built.arcs())
+            text = ",".join(map(str, built.encode()))
+            assert str(built) == text
+            assert str(built) == text
+            assert f"{built}" == text
+
+
+def test_rendering_leaves_fields_equality_and_hash_alone():
+    assert [f.name for f in fields(Matching)] == ["n", "pairs"]
+    for m in SMALL_MATCHINGS:
+        rendered, plain = Matching(m.n, m.pairs), Matching(m.n, m.pairs)
+        str(rendered)
+        assert rendered == plain
+        assert plain == rendered
+        assert hash(rendered) == hash(plain)
+        assert repr(rendered) == repr(plain)
+        assert len({rendered, plain}) == 1
