@@ -7,7 +7,7 @@ unnormalized Jones polynomial of the glued link, and rotating the marked
 point realizes mutation, whose invariance this package verifies.
 """
 
-from .cleaved import CleavedGen, circles_of, enumerate_cleaved
+from .cleaved import CleavedGen, basis_count, basis_keys, circles_of, enumerate_cleaved
 from .decat import (
     DecatVector,
     Generator,
@@ -47,6 +47,8 @@ __all__ = [
     "rotate_matching",
     "rotate_point",
     "CleavedGen",
+    "basis_count",
+    "basis_keys",
     "circles_of",
     "enumerate_cleaved",
     "Crossing",

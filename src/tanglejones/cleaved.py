@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 from .planar import Matching, enumerate_matchings
 
-__all__ = ["CleavedGen", "circles_of", "enumerate_cleaved"]
+__all__ = ["CleavedGen", "basis_count", "basis_keys", "circles_of", "enumerate_cleaved"]
 
 _SIGNS = {1: "+", -1: "-"}
 
@@ -110,16 +111,33 @@ class CleavedGen:
         return replace(self, decs=tuple(decs))
 
 
-@lru_cache(maxsize=None)
-def _cleaved(n: int) -> tuple[CleavedGen, ...]:
-    out: list[CleavedGen] = []
+def _circle_count(inside: Matching, outside: Matching) -> int:
+    # Every arc joins an odd point to an even one, so an inside arc followed
+    # by an outside arc leads from an odd point to an odd point, and each
+    # circle is one orbit of that step on the odd points.
+    ins, outs = inside.pairs, outside.pairs
+    unseen = set(range(1, 2 * inside.n, 2))
+    count = 0
+    while unseen:
+        start = unseen.pop()
+        count += 1
+        p = outs[ins[start - 1] - 1]
+        while p != start:
+            unseen.remove(p)
+            p = outs[ins[p - 1] - 1]
+    return count
+
+
+def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
+    # One (inside, outside, circle count) per cleaved link, in basis order.
+    # The circles are traced without the circles_of cache, which would
+    # otherwise keep Catalan(n)^2 entries after a one-off listing.
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     matchings = enumerate_matchings(n)
     for inside in matchings:
         for outside in matchings:
-            k = len(circles_of(inside, outside))
-            for decs in product((1, -1), repeat=k):
-                out.append(CleavedGen(inside, outside, decs))
-    return tuple(out)
+            yield inside, outside, _circle_count(inside, outside)
 
 
 def enumerate_cleaved(n: int) -> list[CleavedGen]:
@@ -129,6 +147,32 @@ def enumerate_cleaved(n: int) -> list[CleavedGen]:
     then decorations with + before -.  The counts for n = 1, 2, 3 are
     2, 12 and 104.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return list(_cleaved(n))
+    return [
+        CleavedGen(inside, outside, decs)
+        for inside, outside, k in _blocks(n)
+        for decs in product((1, -1), repeat=k)
+    ]
+
+
+def basis_count(n: int) -> int:
+    """The number of decorated cleaved links on 2n points.
+
+    >>> [basis_count(n) for n in range(5)]
+    [1, 2, 12, 104, 1092]
+    """
+    return sum(2**k for _, _, k in _blocks(n))
+
+
+def basis_keys(n: int) -> Iterator[str]:
+    """The keys of :func:`enumerate_cleaved`, in its order, one at a time.
+
+    Keys are rendered straight from the matchings, so listing the basis
+    builds no :class:`CleavedGen` and keeps no key once it is yielded.
+
+    >>> list(basis_keys(1))
+    ['[2|2|+]', '[2|2|-]']
+    """
+    for inside, outside, k in _blocks(n):
+        head = f"[{inside}|{outside}|"
+        for signs in product("+-", repeat=k):
+            yield head + "".join(signs) + "]"

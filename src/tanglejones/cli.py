@@ -33,7 +33,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .cleaved import enumerate_cleaved
+from .cleaved import basis_count, basis_keys
 from .decat import bracket, decat_vector, jones, pair
 from .diagram import Crossing, DiagramError, TangleDiagram, validate
 from .halfpoly import HalfLaurent
@@ -181,12 +181,21 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"basis size must be nonnegative, got {args.n}")
-    keys = [g.key() for g in enumerate_cleaved(args.n)]
+    # Keys are written as they are rendered, so no basis-sized list is built.
+    # They hold only [0-9,|+-] and brackets, so '"' + key + '"' is their JSON
+    # form and the output matches json.dumps byte for byte.
+    count = basis_count(args.n)
+    out = sys.stdout
     if args.json:
-        print(json.dumps({"n": args.n, "count": len(keys), "keys": keys}))
+        out.write(f'{{"n": {args.n}, "count": {count}, "keys": [')
+        sep = ""
+        for key in basis_keys(args.n):
+            out.write(f'{sep}"{key}"')
+            sep = ", "
+        out.write("]}\n")
     else:
-        print("\n".join(keys))
-        print(f"count: {len(keys)}")
+        out.writelines(f"{key}\n" for key in basis_keys(args.n))
+        out.write(f"count: {count}\n")
     return 0
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .cleaved import CleavedGen, circles_of
@@ -154,7 +155,12 @@ class DecatVector:
         return tuple(sorted(self._coeffs, key=CleavedGen.key))
 
     def items(self) -> list[tuple[CleavedGen, HalfLaurent]]:
-        return [(g, self._coeffs[g]) for g in self.support()]
+        """The (generator, coefficient) pairs in storage order, unsorted.
+
+        Sums and maps over a vector do not depend on the order, so no key is
+        rendered here; :meth:`render_text` and :meth:`to_json` sort by key.
+        """
+        return list(self._coeffs.items())
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -164,16 +170,20 @@ class DecatVector:
             return NotImplemented
         return self.n == other.n and self._coeffs == other._coeffs
 
+    def _by_key(self) -> list[tuple[str, HalfLaurent]]:
+        # Each key is rendered once, for the sort and the output alike.
+        return sorted(((g.key(), poly) for g, poly in self._coeffs.items()), key=itemgetter(0))
+
     def render_text(self) -> str:
         """One "<key> : <polynomial>" line per generator, sorted by key."""
-        return "\n".join(f"{g.key()} : {poly.render()}" for g, poly in self.items())
+        return "\n".join(f"{key} : {poly.render()}" for key, poly in self._by_key())
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "generators": [
-                {"key": g.key(), "terms": [list(term) for term in poly.sorted_terms()]}
-                for g, poly in self.items()
+                {"key": key, "terms": [list(term) for term in poly.sorted_terms()]}
+                for key, poly in self._by_key()
             ],
         }
 

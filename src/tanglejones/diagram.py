@@ -88,7 +88,11 @@ class ResolvedState:
 
 
 def validate(t: TangleDiagram) -> list[str]:
-    """All invariant violations, empty when the diagram is well formed."""
+    """All invariant violations, empty when the diagram is well formed.
+
+    A code that passes the structural checks must also have a planar
+    drawing in its disk; see :func:`_euler_characteristic`.
+    """
     errors: list[str] = []
     if t.side not in ("inside", "outside"):
         errors.append(f"side must be 'inside' or 'outside', got {t.side!r}")
@@ -116,7 +120,63 @@ def validate(t: TangleDiagram) -> list[str]:
     for e in sorted(usage):
         if usage[e] != 2:
             errors.append(f"edge {e} has {usage[e]} ends, expected exactly 2")
+    if not errors:
+        pieces, euler = _euler_characteristic(t)
+        if euler != 2 * pieces:
+            errors.append(
+                f"crossing code is not planar: V - E + F = {euler} over {pieces} "
+                f"connected piece(s), expected {2 * pieces}"
+            )
     return errors
+
+
+def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
+    """(connected pieces, V - E + F) of a well-formed diagram on the sphere.
+
+    Vertices are the crossings plus, when there are endpoints, the boundary
+    circle collapsed to one vertex whose ports are the boundary points.
+    Port 4c + k is slot k of crossing c, and port 4C + p - 1 is point p.
+    Each face is traced by leaving a port along its edge and turning to the
+    next port counterclockwise around the vertex reached.  Seen from the
+    collapsed boundary the points run clockwise for an inside tangle and
+    counterclockwise for an outside one.  The code is planar exactly when
+    V - E + F = 2 for every connected piece.
+    """
+    crossings = len(t.crossings)
+    base = 4 * crossings
+    ports = [e for cr in t.crossings for e in cr.slots]
+    ports.extend(t.boundary[p] for p in range(1, t.endpoints + 1))
+    vertices = crossings + (1 if t.endpoints else 0)
+    parent = {v: v for v in range(vertices)}
+    other = [0] * len(ports)
+    first_end: dict[int, int] = {}
+    for port, e in enumerate(ports):
+        if e in first_end:
+            mate = first_end.pop(e)
+            other[port], other[mate] = mate, port
+            root = _find(parent, min(port // 4, crossings))
+            parent[root] = _find(parent, min(mate // 4, crossings))
+        else:
+            first_end[e] = port
+    pieces = sum(1 for v, up in parent.items() if v == up)
+
+    turn = [port - port % 4 + (port + 1) % 4 for port in range(base)] + [0] * t.endpoints
+    points = list(range(base, len(ports)))
+    if t.side == "inside":
+        points.reverse()
+    for i, port in enumerate(points):
+        turn[port] = points[(i + 1) % len(points)]
+    faces = 0
+    seen = [False] * len(ports)
+    for start in range(len(ports)):
+        if seen[start]:
+            continue
+        faces += 1
+        port = start
+        while not seen[port]:
+            seen[port] = True
+            port = turn[other[port]]
+    return pieces, vertices - len(ports) // 2 + faces
 
 
 def ensure_valid(t: TangleDiagram) -> None:

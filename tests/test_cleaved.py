@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tanglejones import CleavedGen, Matching, circles_of, enumerate_cleaved
+from tanglejones import (
+    CleavedGen,
+    Matching,
+    basis_count,
+    basis_keys,
+    circles_of,
+    enumerate_cleaved,
+)
 
 small_gens = st.integers(1, 3).flatmap(lambda n: st.sampled_from(enumerate_cleaved(n)))
 
@@ -98,3 +105,14 @@ def test_enumeration_distinct_keys():
     for n in range(4):
         keys = [g.key() for g in enumerate_cleaved(n)]
         assert len(set(keys)) == len(keys)
+
+
+def test_streamed_keys_and_count_follow_the_generators():
+    for n in range(6):
+        gens = enumerate_cleaved(n)
+        assert list(basis_keys(n)) == [g.key() for g in gens]
+        assert basis_count(n) == len(gens)
+    with pytest.raises(ValueError):
+        basis_count(-1)
+    with pytest.raises(ValueError):
+        list(basis_keys(-1))

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tanglejones import cli
+from tanglejones import cleaved, cli, enumerate_cleaved
 from tanglejones.cli import ParseError, main, parse_tangle
 
-from .helpers import corpus_path
+from .helpers import corpus_names, corpus_path
 
 T_LEFT = str(corpus_path("t_left"))
 T_RIGHT = str(corpus_path("t_right"))
@@ -100,6 +105,32 @@ def test_basis_json(capsys):
     assert len(payload["keys"]) == 104
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_streamed_basis_matches_the_generators(capsys, n):
+    keys = [g.key() for g in enumerate_cleaved(n)]
+    code, out, err = run(capsys, "basis", str(n))
+    assert (code, err) == (0, "")
+    assert out == "\n".join(keys) + f"\ncount: {len(keys)}\n"
+    code, out, err = run(capsys, "basis", "--json", str(n))
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"n": n, "count": len(keys), "keys": keys}) + "\n"
+
+
+def test_basis_6_count(capsys):
+    code, out, _ = run(capsys, "basis", "6")
+    assert code == 0
+    assert out.endswith("\ncount: 165384\n")
+    assert out.count("\n") == 165384 + 1
+
+
+def test_basis_leaves_no_cache_behind(capsys):
+    before = cleaved.circles_of.cache_info().currsize
+    assert run(capsys, "basis", "5")[0] == 0
+    assert run(capsys, "basis", "--json", "5")[0] == 0
+    assert cleaved.circles_of.cache_info().currsize == before
+    assert not hasattr(cleaved, "_cleaved")
+
+
 def test_basis_rejects_negative(capsys):
     code, _, err = run(capsys, "basis", "--", "-1")
     assert code == 1
@@ -174,6 +205,17 @@ def test_validation_failure_is_semantic(tmp_path, capsys):
     code, _, err = run(capsys, "decat", path)
     assert code == 1
     assert err != ""
+
+
+def test_nonplanar_code_is_rejected(tmp_path, capsys):
+    # one crossing whose opposite slots are joined: no planar drawing has
+    # it, yet it used to print a polynomial with exit 0
+    path = write(tmp_path, "tangle x\nside inside\nendpoints 0\ncross + 1 2 1 2\n")
+    for verb in ("jones", "bracket", "decat"):
+        code, out, err = run(capsys, verb, path)
+        assert code == 1
+        assert out == ""
+        assert "not planar" in err
 
 
 def test_parse_tangle_comments_and_blanks():
@@ -263,3 +305,34 @@ def test_handlers_look_up_library_functions_at_call_time(monkeypatch, capsys):
     assert code == 0
     assert seen == [4]
     assert out.splitlines()[0] == "[2,4|2,4|++] : -q^3"
+
+
+# Whole-token edits of corpus files.  Most tokens of a file are numbers, and
+# numbers dominate the alphabet too, so many mutants parse and go on to reach
+# validation and the engine rather than stopping at a parse error.
+_TOKENS = [str(k) for k in range(13)] + [
+    "+", "-", "tangle", "side", "endpoints", "cross", "loop", "boundary",
+    "inside", "outside", "#", "\n", "x",
+]  # fmt: skip
+_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 500), st.sampled_from(_TOKENS)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(corpus_names()), st.lists(_EDITS, min_size=1, max_size=2))
+def test_main_never_raises_on_mutated_corpus_text(tmp_path_factory, name, edits):
+    tokens = re.findall(r"\S+|\n", corpus_path(name).read_text())
+    for kind, at, token in edits:
+        at %= len(tokens) + (kind == "insert")
+        if kind == "replace":
+            tokens[at] = token
+        elif kind == "insert":
+            tokens.insert(at, token)
+        else:
+            del tokens[at]
+    path = tmp_path_factory.getbasetemp() / "mutant.tangle"
+    path.write_text("".join(t if t == "\n" else t + " " for t in tokens))
+    for verb in ("decat", "jones", "bracket", "mutate-check"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([verb, str(path)]) in (0, 1, 2)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tanglejones import (
+    CleavedGen,
     DecatVector,
     DiagramError,
     Matching,
@@ -83,6 +84,24 @@ def test_vector_container_behavior():
     assert lines == sorted(lines)
     assert v == decat_vector(corpus_tangle("strand2"))
     assert v != decat_of("strand2_nested")
+
+
+def test_keys_are_rendered_only_for_output(monkeypatch):
+    calls = []
+    key = CleavedGen.key
+
+    def counted(g):
+        calls.append(g)
+        return key(g)
+
+    inside, outside = decat_of("kt_inside"), decat_of("kt_outside")
+    monkeypatch.setattr(CleavedGen, "key", counted)
+    pair(inside, outside)
+    assert calls == []
+    inside.render_text()
+    assert len(calls) == len(inside)
+    inside.to_json()
+    assert len(calls) == 2 * len(inside)
 
 
 def test_pair_requires_equal_n():
