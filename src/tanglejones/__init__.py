@@ -8,16 +8,7 @@ point realizes mutation, whose invariance this package verifies.
 """
 
 from .cleaved import CleavedGen, basis_count, basis_keys, circles_of, enumerate_cleaved
-from .decat import (
-    DecatVector,
-    Generator,
-    boundary,
-    bracket,
-    decat_vector,
-    generators,
-    jones,
-    pair,
-)
+from .decat import DecatVector, bracket, decat_vector, jones, pair
 from .diagram import (
     Crossing,
     DiagramError,
@@ -60,10 +51,7 @@ __all__ = [
     "resolve",
     "crossing_counts",
     "serialize",
-    "Generator",
     "DecatVector",
-    "boundary",
-    "generators",
     "decat_vector",
     "pair",
     "jones",

@@ -19,7 +19,6 @@ through the same machinery as genuine tangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -30,7 +29,6 @@ __all__ = ["CleavedGen", "basis_count", "basis_keys", "circles_of", "enumerate_c
 _SIGNS = {1: "+", -1: "-"}
 
 
-@lru_cache(maxsize=None)
 def circles_of(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], ...]:
     """The circles of a cleaved link, each as a sorted point tuple.
 
@@ -77,7 +75,7 @@ class CleavedGen:
         object.__setattr__(self, "decs", tuple(self.decs))
         if self.inside.n != self.outside.n:
             raise ValueError("inside and outside matchings must pair the same points")
-        k = len(circles_of(self.inside, self.outside))
+        k = _circle_count(self.inside, self.outside)
         if len(self.decs) != k:
             raise ValueError(f"expected {k} decorations, got {len(self.decs)}")
         if any(d not in (1, -1) for d in self.decs):
@@ -130,8 +128,6 @@ def _circle_count(inside: Matching, outside: Matching) -> int:
 
 def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
     # One (inside, outside, circle count) per cleaved link, in basis order.
-    # The circles are traced without the circles_of cache, which would
-    # otherwise keep Catalan(n)^2 entries after a one-off listing.
     if n < 0:
         raise ValueError("n must be nonnegative")
     matchings = enumerate_matchings(n)

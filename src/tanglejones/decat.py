@@ -23,23 +23,21 @@ One engine walks the resolution cube.  A free circle summed over its two
 decorations contributes q + q^(-1), so each resolution is only counted, on
 its boundary generator, by its number of 1-smoothings and of free circles;
 the counts then expand into polynomials with binomial coefficients.
-``decat_vector`` and ``bracket`` both read that engine; ``generators``
-still lists every decorated resolution one by one.
+``decat_vector`` and ``bracket`` both read that engine.  The only other
+state sum is the test suite's oracle, which lists every decorated
+resolution one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .cleaved import CleavedGen, circles_of
 from .diagram import (
     DiagramError,
-    ResolvedState,
     TangleDiagram,
     crossing_counts,
     ensure_valid,
@@ -49,10 +47,7 @@ from .halfpoly import ZERO, HalfLaurent
 from .planar import Matching, enumerate_matchings
 
 __all__ = [
-    "Generator",
     "DecatVector",
-    "boundary",
-    "generators",
     "decat_vector",
     "pair",
     "jones",
@@ -60,71 +55,6 @@ __all__ = [
 ]
 
 _EMPTY_GEN = CleavedGen(Matching.empty(), Matching.empty(), ())
-
-
-@dataclass(frozen=True)
-class Generator:
-    """One decorated resolution glued along a far-side matching.
-
-    ``far_matching`` is the outside matching for an inside tangle and the
-    inside matching for an outside tangle.  ``h`` and ``i`` are the
-    homological and quantum gradings of the contribution.
-    """
-
-    rho: tuple[int, ...]
-    far_matching: Matching
-    free_decs: tuple[int, ...]
-    cut_decs: tuple[int, ...]
-    h: int
-    i: Fraction
-
-
-def boundary(
-    resolved: ResolvedState,
-    far: Matching,
-    cut_decs: tuple[int, ...],
-    side: str = "inside",
-) -> CleavedGen:
-    """The boundary cleaved link of a decorated resolution.
-
-    Free circles are deleted; the circles cut by the equator keep their
-    decorations.  The resolution's induced matching fills the slot named by
-    ``side`` and the far matching fills the other.
-    """
-    if side == "inside":
-        return CleavedGen(resolved.lam, far, tuple(cut_decs))
-    if side == "outside":
-        return CleavedGen(far, resolved.lam, tuple(cut_decs))
-    raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
-
-
-def generators(t: TangleDiagram) -> Iterator[Generator]:
-    """Every decorated, glued resolution of the diagram, one at a time.
-
-    The iteration order is deterministic: resolution bits lexicographically
-    with 0 before 1, then far matchings by encoding, then free and cut
-    decorations with + before -.
-    """
-    ensure_valid(t)
-    n = t.endpoints // 2
-    n_plus, n_minus = crossing_counts(t)
-    shift = n_plus - n_minus
-    far_matchings = enumerate_matchings(n)
-    for rho in product((0, 1), repeat=len(t.crossings)):
-        state = resolve(t, rho)
-        h = sum(rho) - n_minus
-        for far in far_matchings:
-            if t.side == "inside":
-                ins, outs = state.lam, far
-            else:
-                ins, outs = far, state.lam
-            k = len(circles_of(ins, outs))
-            for free_decs in product((1, -1), repeat=len(state.free_circles)):
-                for cut_decs in product((1, -1), repeat=k):
-                    i = Fraction(
-                        2 * (h + shift + sum(free_decs)) + sum(cut_decs), 2
-                    )
-                    yield Generator(rho, far, free_decs, cut_decs, h, i)
 
 
 class DecatVector:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Iterable, Mapping
 
 from .planar import Matching
@@ -34,6 +35,10 @@ __all__ = [
     "crossing_counts",
     "serialize",
 ]
+
+
+# Missing boundary points named one by one before the rest are counted.
+_LISTED_POINTS = 5
 
 
 class DiagramError(ValueError):
@@ -109,11 +114,15 @@ def validate(t: TangleDiagram) -> list[str]:
             errors.append(f"crossing {idx} has {len(cr.slots)} slots, expected 4")
         elif any(not isinstance(e, int) or e < 1 for e in cr.slots):
             errors.append(f"crossing {idx} has a non-positive edge label")
-    expected_points = set(range(1, t.endpoints + 1))
-    actual_points = set(t.boundary)
-    for p in sorted(expected_points - actual_points):
+    # The point count comes from the file, so missing points are counted,
+    # never listed in full.
+    missing = max(t.endpoints, 0) - sum(1 for p in t.boundary if 1 <= p <= t.endpoints)
+    unmatched = (p for p in count(1) if p not in t.boundary)
+    for p in islice(unmatched, min(missing, _LISTED_POINTS)):
         errors.append(f"boundary point {p} has no edge")
-    for p in sorted(actual_points - expected_points):
+    if missing > _LISTED_POINTS:
+        errors.append(f"and {missing - _LISTED_POINTS} more boundary points have no edge")
+    for p in sorted(p for p in t.boundary if not 1 <= p <= t.endpoints):
         errors.append(f"boundary names point {p}, outside 1..{t.endpoints}")
     usage = Counter(e for cr in t.crossings for e in cr.slots)
     usage.update(t.boundary.values())

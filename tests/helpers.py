@@ -1,28 +1,34 @@
-"""Shared test machinery: corpus access, diagram surgery, random tangles.
+"""Shared test machinery: corpus access, an exhaustive oracle, diagram
+surgery, random tangles.
 
 Everything here is deliberately independent of the library internals it is
-used to check.  ``glue`` and ``smooth_crossing`` rebuild diagrams by edge
-relabeling alone, so pairing and skein identities compare the library
-against plain combinatorics rather than against itself.
+used to check.  ``generators`` lists every decorated resolution with its own
+union-find, sharing no code with the library's state sum or ``resolve``.
+``glue`` and ``smooth_crossing`` rebuild diagrams by edge relabeling alone,
+so pairing and skein identities compare the library against plain
+combinatorics rather than against itself.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
+from typing import Iterator
 
 from tanglejones import (
     CleavedGen,
     Crossing,
     DecatVector,
     HalfLaurent,
+    Matching,
     TangleDiagram,
-    boundary,
     decat_vector,
     ensure_valid,
-    generators,
-    resolve,
+    enumerate_matchings,
 )
 from tanglejones.cli import load_tangle
 
@@ -47,6 +53,84 @@ def decat_of(name: str) -> DecatVector:
     return decat_vector(corpus_tangle(name))
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
+    """(free circles, induced boundary matching) of one resolution."""
+    parent: dict[int, int] = {}
+    for e in t.boundary.values():
+        _find(parent, e)
+    for cr, bit in zip(t.crossings, rho):
+        a, b, c, d = cr.slots
+        for x, y in ((a, b), (c, d)) if bit == 0 else ((a, d), (b, c)):
+            parent[_find(parent, x)] = _find(parent, y)
+    ends: dict[int, list[int]] = {}
+    for p in sorted(t.boundary):
+        ends.setdefault(_find(parent, t.boundary[p]), []).append(p)
+    roots = {_find(parent, e) for e in parent}
+    lam = Matching.from_arcs(t.endpoints // 2, ends.values())
+    return len(roots - ends.keys()) + t.loops, lam
+
+
+def _cut_circles(inside: Matching, outside: Matching) -> int:
+    """The number of circles of a cleaved link, by a union-find of points."""
+    parent: dict[int, int] = {}
+    for m in (inside, outside):
+        for a, b in m.arcs():
+            parent[_find(parent, a)] = _find(parent, b)
+    return len({_find(parent, p) for p in parent})
+
+
+@dataclass(frozen=True)
+class Generator:
+    """One decorated resolution glued along a far-side matching.
+
+    ``boundary`` is the cleaved link left when the free circles are
+    deleted: the resolution's own matching fills the slot named by the
+    tangle's side, the far matching fills the other, and the cut circles
+    keep their decorations.  ``h`` and ``i`` are the homological and
+    quantum gradings of the contribution.
+    """
+
+    rho: tuple[int, ...]
+    boundary: CleavedGen
+    free_decs: tuple[int, ...]
+    h: int
+    i: Fraction
+
+
+def generators(t: TangleDiagram) -> Iterator[Generator]:
+    """Every decorated, glued resolution of the diagram, one at a time.
+
+    The iteration order is deterministic: resolution bits lexicographically
+    with 0 before 1, then far matchings by encoding, then free and cut
+    decorations with + before -.
+    """
+    ensure_valid(t)
+    n_minus = sum(1 for cr in t.crossings if cr.sign < 0)
+    shift = len(t.crossings) - 2 * n_minus
+    far_matchings = enumerate_matchings(t.endpoints // 2)
+    for rho in product((0, 1), repeat=len(t.crossings)):
+        free, lam = _smooth(t, rho)
+        h = sum(rho) - n_minus
+        for far in far_matchings:
+            ins, outs = (lam, far) if t.side == "inside" else (far, lam)
+            cuts = [
+                CleavedGen(ins, outs, cut_decs)
+                for cut_decs in product((1, -1), repeat=_cut_circles(ins, outs))
+            ]
+            for free_decs in product((1, -1), repeat=free):
+                for b in cuts:
+                    i = Fraction(2 * (h + shift + sum(free_decs)) + sum(b.decs), 2)
+                    yield Generator(rho, b, free_decs, h, i)
+
+
 def exhaustive_vector(t: TangleDiagram) -> DecatVector:
     """The invariant vector by enumerating every decorated resolution.
 
@@ -56,11 +140,8 @@ def exhaustive_vector(t: TangleDiagram) -> DecatVector:
     free circles as (q + q^(-1)) powers, is checked against.
     """
     acc: dict[CleavedGen, dict[int, int]] = {}
-    rho = state = None
     for g in generators(t):
-        if g.rho != rho:
-            rho, state = g.rho, resolve(t, g.rho)
-        terms = acc.setdefault(boundary(state, g.far_matching, g.cut_decs, t.side), {})
+        terms = acc.setdefault(g.boundary, {})
         e2 = int(2 * g.i)
         terms[e2] = terms.get(e2, 0) + (-1 if g.h % 2 else 1)
     return DecatVector(t.endpoints // 2, {b: HalfLaurent(terms) for b, terms in acc.items()})
@@ -88,16 +169,9 @@ def glue(inside: TangleDiagram, outside: TangleDiagram) -> TangleDiagram:
     offset = max(inside_labels, default=0)
 
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for p in range(1, inside.endpoints + 1):
-        root_in, root_out = find(inside.boundary[p]), find(outside.boundary[p] + offset)
+        root_in = _find(parent, inside.boundary[p])
+        root_out = _find(parent, outside.boundary[p] + offset)
         if root_in != root_out:
             parent[root_out] = root_in
 
@@ -105,9 +179,9 @@ def glue(inside: TangleDiagram, outside: TangleDiagram) -> TangleDiagram:
     crossings += [
         Crossing(c.sign, tuple(e + offset for e in c.slots)) for c in outside.crossings
     ]
-    crossings = [Crossing(c.sign, tuple(find(e) for e in c.slots)) for c in crossings]
+    crossings = [Crossing(c.sign, tuple(_find(parent, e) for e in c.slots)) for c in crossings]
     used = {e for c in crossings for e in c.slots}
-    closed_chains = sum(1 for r in {find(x) for x in list(parent)} if r not in used)
+    closed_chains = sum(1 for r in {_find(parent, x) for x in list(parent)} if r not in used)
     glued = TangleDiagram(
         f"{inside.name}.{outside.name}",
         "inside",

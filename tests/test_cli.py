@@ -6,15 +6,16 @@ import contextlib
 import io
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglejones import cleaved, cli, enumerate_cleaved
+from tanglejones import cleaved, cli, decat, diagram, enumerate_cleaved, halfpoly, mutation, planar
 from tanglejones.cli import ParseError, main, parse_tangle
 
-from .helpers import corpus_names, corpus_path
+from .helpers import corpus_names, corpus_path, corpus_tangle
 
 T_LEFT = str(corpus_path("t_left"))
 T_RIGHT = str(corpus_path("t_right"))
@@ -124,11 +125,24 @@ def test_basis_6_count(capsys):
 
 
 def test_basis_leaves_no_cache_behind(capsys):
-    before = cleaved.circles_of.cache_info().currsize
+    # The only cache kept across calls is one tuple of matchings per n; the
+    # library keeps nothing per pair of matchings or per generator.
+    planar._matchings.cache_clear()
+    used = {5}
+    for name in corpus_names():
+        assert run(capsys, "decat", str(corpus_path(name)))[0] == 0
+        used.add(corpus_tangle(name).endpoints // 2)
     assert run(capsys, "basis", "5")[0] == 0
     assert run(capsys, "basis", "--json", "5")[0] == 0
-    assert cleaved.circles_of.cache_info().currsize == before
-    assert not hasattr(cleaved, "_cleaved")
+    assert not hasattr(cleaved.circles_of, "cache_info")
+    assert planar._matchings.cache_info().currsize <= len(used)
+    cached = {
+        f"{module.__name__}.{name}"
+        for module in (cleaved, cli, decat, diagram, halfpoly, mutation, planar)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert cached == {"tanglejones.planar._matchings", "tanglejones.cli._build_parser"}
 
 
 def test_basis_rejects_negative(capsys):
@@ -205,6 +219,25 @@ def test_validation_failure_is_semantic(tmp_path, capsys):
     code, _, err = run(capsys, "decat", path)
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize("endpoints", [2_000_000, 2_000_000_000_000])
+def test_missing_boundary_points_are_counted_not_listed(tmp_path, capsys, endpoints):
+    # a three-line file must not make validation build or print one entry
+    # per boundary point
+    path = write(tmp_path, f"tangle big\nside inside\nendpoints {endpoints}\n")
+    tracemalloc.start()
+    try:
+        code = main(["decat", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.encode()) < 1024
+    assert peak < 1 << 20
+    assert [f"boundary point {p} has no edge" in err for p in range(1, 7)] == [True] * 5 + [False]
+    assert err.rstrip().endswith(f"and {endpoints - 5} more boundary points have no edge")
 
 
 def test_nonplanar_code_is_rejected(tmp_path, capsys):

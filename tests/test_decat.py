@@ -10,22 +10,25 @@ from tanglejones import (
     CleavedGen,
     DecatVector,
     DiagramError,
-    Matching,
     TangleDiagram,
-    boundary,
     bracket,
     decat_vector,
     enumerate_cleaved,
-    generators,
     jones,
     monomial,
     pair,
     parse,
-    resolve,
 )
 from tanglejones.cli import main
 
-from .helpers import corpus_names, corpus_tangle, decat_of, glue, with_extra_loop
+from .helpers import (
+    corpus_names,
+    corpus_tangle,
+    decat_of,
+    generators,
+    glue,
+    with_extra_loop,
+)
 
 
 def key_coeffs(v: DecatVector) -> dict[str, str]:
@@ -45,20 +48,6 @@ def test_single_crossing_spot_values():
     assert v["[2,4|2,4|++]"] == "-q^3"
     assert v["[4,2|4,2|--]"] == "1"
     assert len(v) == 12
-
-
-def test_boundary_fills_the_named_slot():
-    t = corpus_tangle("t_left")
-    state = resolve(t, (0,))
-    far = Matching.decode((2, 4))
-    b_in = boundary(state, far, (1,), "inside")
-    assert b_in.inside == state.lam
-    assert b_in.outside == far
-    b_out = boundary(state, far, (1,), "outside")
-    assert b_out.inside == far
-    assert b_out.outside == state.lam
-    with pytest.raises(ValueError):
-        boundary(state, far, (1,), "above")
 
 
 def test_generator_stream_is_graded():
@@ -140,19 +129,12 @@ def test_grading_additivity_across_the_equator():
     # the glued diagram, adding gradings; checked as a multiset identity.
     tin, tout = corpus_tangle("t_left"), corpus_tangle("t_right")
     glued = glue(tin, tout)
-    inside_gens = [
-        (boundary(resolve(tin, g.rho), g.far_matching, g.cut_decs, "inside"), g)
-        for g in generators(tin)
-    ]
-    outside_gens = [
-        (boundary(resolve(tout, g.rho), g.far_matching, g.cut_decs, "outside"), g)
-        for g in generators(tout)
-    ]
+    outside_gens = list(generators(tout))
     paired = [
         (gi.h + go.h, gi.i + go.i)
-        for bi, gi in inside_gens
-        for bo, go in outside_gens
-        if bi == bo
+        for gi in generators(tin)
+        for go in outside_gens
+        if gi.boundary == go.boundary
     ]
     glued_gradings = [(g.h, g.i) for g in generators(glued)]
     assert sorted(paired) == sorted(glued_gradings)
