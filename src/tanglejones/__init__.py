@@ -15,7 +15,6 @@ from .diagram import (
     ResolvedState,
     TangleDiagram,
     crossing_counts,
-    ensure_valid,
     resolve,
     serialize,
     validate,
@@ -47,7 +46,6 @@ __all__ = [
     "ResolvedState",
     "DiagramError",
     "validate",
-    "ensure_valid",
     "resolve",
     "crossing_counts",
     "serialize",

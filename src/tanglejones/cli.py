@@ -12,7 +12,10 @@ Verbs:
 Exit codes: 0 on success (and for --help), 1 on a semantic or validation
 error, 2 on a usage error or on a parse error (reported with its line
 number); ``main`` returns the code and never raises SystemExit.  Results go
-to standard out, diagnostics to standard error.
+to standard out, diagnostics to standard error.  A parsed file becomes a
+``TangleDiagram``, which validates itself on construction, so each file is
+checked once and a violation is reported as the file's path followed by
+every message of ``validate``.
 
 Tangle file format, line oriented; '#' starts a comment, blank lines are
 ignored; the first three directives are mandatory and in this order:
@@ -35,7 +38,7 @@ from pathlib import Path
 
 from .cleaved import basis_count, basis_keys
 from .decat import bracket, decat_vector, jones, pair
-from .diagram import Crossing, DiagramError, TangleDiagram, validate
+from .diagram import Crossing, DiagramError, TangleDiagram
 from .halfpoly import HalfLaurent
 from .mutation import mutation_check
 
@@ -61,7 +64,12 @@ def _positive_int(token: str, what: str, lineno: int, source: str) -> int:
 
 
 def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
-    """Build a diagram from its text form; structural checks stay in validate."""
+    """Build a diagram from its text form.
+
+    Raises :class:`ParseError` for a line that does not parse, and
+    :class:`DiagramError` from the diagram's construction when the parsed
+    code breaks an invariant.
+    """
     name: str | None = None
     side: str | None = None
     endpoints: int | None = None
@@ -127,13 +135,16 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
 
 
 def load_tangle(path: str | Path) -> TangleDiagram:
-    """Parse and validate one tangle file; raises on any defect."""
+    """Parse one tangle file into a diagram, which validates itself.
+
+    A :class:`DiagramError` is raised again with the path in front.
+    """
     path = Path(path)
-    t = parse_tangle(path.read_text(), source=str(path))
-    errors = validate(t)
-    if errors:
-        raise DiagramError("; ".join(f"{path}: {e}" for e in errors))
-    return t
+    text = path.read_text()
+    try:
+        return parse_tangle(text, source=str(path))
+    except DiagramError as err:
+        raise DiagramError(f"{path}: {err}") from err
 
 
 def _poly_out(poly: HalfLaurent, as_json: bool) -> str:

@@ -36,13 +36,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .cleaved import CleavedGen, circles_of
-from .diagram import (
-    DiagramError,
-    TangleDiagram,
-    crossing_counts,
-    ensure_valid,
-    resolve,
-)
+from .diagram import DiagramError, TangleDiagram, crossing_counts, resolve
 from .halfpoly import ZERO, HalfLaurent
 from .planar import Matching, enumerate_matchings
 
@@ -130,7 +124,6 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     1-smoothings, number of free circles), which is all its contribution
     depends on once the free circles are summed over their decorations.
     """
-    ensure_valid(t)
     far_matchings = enumerate_matchings(t.endpoints // 2)
     counts: dict[CleavedGen, dict[tuple[int, int], int]] = {}
     for rho in product((0, 1), repeat=len(t.crossings)):

@@ -6,7 +6,13 @@ incoming under-strand, together with an explicit sign.  Crossingless closed
 components cannot be expressed by crossing slots, so a separate loop count
 carries them.  The boundary map sends each point label to the edge ending
 there; every edge label must occur exactly twice across crossing slots and
-boundary entries.
+boundary entries.  A diagram checks all of this, and that its code has a
+planar drawing, when it is built, so no invalid diagram exists:
+
+>>> TangleDiagram("x", "inside", 0, (Crossing(1, (1, 2, 1, 2)),))  # doctest: +ELLIPSIS
+Traceback (most recent call last):
+    ...
+tanglejones.diagram.DiagramError: crossing code is not planar: ...
 
 Resolving a diagram replaces each crossing by one of its two planar
 smoothings: the 0-smoothing joins the slot pairs (a, b) and (c, d), the
@@ -30,7 +36,6 @@ __all__ = [
     "TangleDiagram",
     "ResolvedState",
     "validate",
-    "ensure_valid",
     "resolve",
     "crossing_counts",
     "serialize",
@@ -62,6 +67,8 @@ class TangleDiagram:
     which determines whether its invariant fills the inside or the outside
     slot of the boundary generators.  The instance is treated as immutable;
     ``boundary`` maps each point 1..2n to the edge ending there.
+    Construction raises :class:`DiagramError` listing every violation that
+    :func:`validate` finds.
     """
 
     name: str
@@ -70,6 +77,11 @@ class TangleDiagram:
     crossings: tuple[Crossing, ...]
     loops: int = 0
     boundary: Mapping[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        errors = validate(self)
+        if errors:
+            raise DiagramError("; ".join(errors))
 
     def edge_labels(self) -> set[int]:
         labels = {e for cr in self.crossings for e in cr.slots}
@@ -87,13 +99,15 @@ class ResolvedState:
     matching the boundary-to-boundary strands induce on the 2n points.
     """
 
-    rho: tuple[int, ...]
     free_circles: tuple[frozenset[int], ...]
     lam: Matching
 
 
 def validate(t: TangleDiagram) -> list[str]:
     """All invariant violations, empty when the diagram is well formed.
+
+    Every diagram runs this once, on construction, so the list of a built
+    diagram is always empty.
 
     A code that passes the structural checks must also have a planar
     drawing in its disk; see :func:`_euler_characteristic`.
@@ -188,13 +202,6 @@ def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
     return pieces, vertices - len(ports) // 2 + faces
 
 
-def ensure_valid(t: TangleDiagram) -> None:
-    """Raise :class:`DiagramError` listing every violation, if any."""
-    errors = validate(t)
-    if errors:
-        raise DiagramError("; ".join(errors))
-
-
 def crossing_counts(t: TangleDiagram) -> tuple[int, int]:
     """(positive, negative) crossing counts."""
     plus = sum(1 for cr in t.crossings if cr.sign > 0)
@@ -213,10 +220,10 @@ def _find(parent: dict[int, int], x: int) -> int:
 def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     """Smooth every crossing according to rho and trace the components.
 
-    Assumes the diagram is valid.  Raises :class:`DiagramError` when a
-    component meets the boundary in anything other than two points or the
-    induced matching crosses itself; either signals a non-planar or corrupt
-    diagram.
+    Raises :class:`ValueError` when rho is not one bit per crossing.  The
+    diagram is valid by construction, so every component is a closed loop
+    or a strand with two boundary ends, and the planarity check makes the
+    strands' matching non-crossing.
     """
     rho = tuple(rho)
     if len(rho) != len(t.crossings):
@@ -252,19 +259,8 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     )
     free.extend(frozenset() for _ in range(t.loops))
 
-    arcs: list[tuple[int, int]] = []
-    for root, points in points_on.items():
-        if len(points) != 2:
-            raise DiagramError(
-                f"resolved component through edge {min(components[root])} meets "
-                f"{len(points)} boundary points, expected 2"
-            )
-        arcs.append((points[0], points[1]))
-    try:
-        lam = Matching.from_arcs(t.endpoints // 2, arcs)
-    except ValueError as err:
-        raise DiagramError(f"induced boundary matching is invalid: {err}") from err
-    return ResolvedState(rho, tuple(free), lam)
+    lam = Matching.from_arcs(t.endpoints // 2, points_on.values())
+    return ResolvedState(tuple(free), lam)
 
 
 def serialize(t: TangleDiagram) -> str:

@@ -43,14 +43,6 @@ class HalfLaurent:
                     data[e2] = c
         self._terms = data
 
-    @classmethod
-    def zero(cls) -> HalfLaurent:
-        return cls()
-
-    @classmethod
-    def one(cls) -> HalfLaurent:
-        return cls({0: 1})
-
     def coefficient(self, e2: int) -> int:
         """The coefficient of q^(e2/2)."""
         return self._terms.get(e2, 0)
@@ -115,7 +107,7 @@ class HalfLaurent:
     def __pow__(self, k: int) -> HalfLaurent:
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = HalfLaurent.one()
+        result = ONE
         for _ in range(k):
             result = result * self
         return result

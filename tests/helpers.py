@@ -27,7 +27,6 @@ from tanglejones import (
     Matching,
     TangleDiagram,
     decat_vector,
-    ensure_valid,
     enumerate_matchings,
 )
 from tanglejones.cli import load_tangle
@@ -112,7 +111,6 @@ def generators(t: TangleDiagram) -> Iterator[Generator]:
     with 0 before 1, then far matchings by encoding, then free and cut
     decorations with + before -.
     """
-    ensure_valid(t)
     n_minus = sum(1 for cr in t.crossings if cr.sign < 0)
     shift = len(t.crossings) - 2 * n_minus
     far_matchings = enumerate_matchings(t.endpoints // 2)
@@ -182,7 +180,7 @@ def glue(inside: TangleDiagram, outside: TangleDiagram) -> TangleDiagram:
     crossings = [Crossing(c.sign, tuple(_find(parent, e) for e in c.slots)) for c in crossings]
     used = {e for c in crossings for e in c.slots}
     closed_chains = sum(1 for r in {_find(parent, x) for x in list(parent)} if r not in used)
-    glued = TangleDiagram(
+    return TangleDiagram(
         f"{inside.name}.{outside.name}",
         "inside",
         0,
@@ -190,8 +188,6 @@ def glue(inside: TangleDiagram, outside: TangleDiagram) -> TangleDiagram:
         inside.loops + outside.loops + closed_chains,
         {},
     )
-    ensure_valid(glued)
-    return glued
 
 
 def smooth_crossing(t: TangleDiagram, idx: int, bit: int) -> TangleDiagram:
@@ -216,11 +212,9 @@ def smooth_crossing(t: TangleDiagram, idx: int, bit: int) -> TangleDiagram:
         ]
         boundary = {p: (x if e == y else e) for p, e in boundary.items()}
         pairs = [(x if u == y else u, x if v == y else v) for u, v in pairs]
-    out = TangleDiagram(
+    return TangleDiagram(
         f"{t.name}.s{idx}{bit}", t.side, t.endpoints, tuple(crossings), loops, boundary
     )
-    ensure_valid(out)
-    return out
 
 
 def random_strand_tangle(rng: random.Random, max_kinks: int = 5) -> TangleDiagram:
@@ -241,11 +235,9 @@ def random_strand_tangle(rng: random.Random, max_kinks: int = 5) -> TangleDiagra
         else:
             crossings.append(Crossing(-1, (edge, curl, curl, ahead)))
         edge = ahead
-    t = TangleDiagram(
+    return TangleDiagram(
         f"kinks{kinks}", "inside", 2, tuple(crossings), 0, {1: 1, 2: edge}
     )
-    ensure_valid(t)
-    return t
 
 
 def random_partial_resolutions(

@@ -29,7 +29,6 @@ PUBLIC = [
     "ResolvedState",
     "DiagramError",
     "validate",
-    "ensure_valid",
     "resolve",
     "crossing_counts",
     "serialize",
@@ -48,7 +47,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert tanglejones.__all__ == PUBLIC
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
 
 
 def test_every_public_name_resolves():

@@ -251,6 +251,54 @@ def test_nonplanar_code_is_rejected(tmp_path, capsys):
         assert "not planar" in err
 
 
+@pytest.mark.parametrize(
+    "verb, names, calls",
+    [
+        ("decat", ["t_left"], 1),
+        ("jones", ["kt_closed"], 1),
+        ("bracket", ["hopf"], 1),
+        ("mutate-check", ["kt_inside"], 1),
+        ("pair", ["kt_inside", "kt_outside"], 2),
+    ],
+    ids=["decat", "jones", "bracket", "mutate-check", "pair"],
+)
+def test_each_loaded_file_is_validated_once(monkeypatch, capsys, verb, names, calls):
+    seen = []
+    real = diagram.validate
+
+    def spy(t):
+        seen.append(t.name)
+        return real(t)
+
+    for module in (diagram, cli):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", spy)
+    code, _, err = run(capsys, verb, *(str(corpus_path(name)) for name in names))
+    assert (code, err) == (0, "")
+    assert len(seen) == calls
+
+
+# point 3 has no boundary line, so edge 2 ends only at point 4
+_MISSING_POINT_3 = (
+    "tangle bad\nside inside\nendpoints 4\nboundary 1 1\nboundary 2 1\nboundary 4 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decat", "BAD"], ["pair", "BAD", "GOOD"], ["pair", "GOOD", "BAD"]],
+    ids=["decat", "pair-bad-first", "pair-bad-second"],
+)
+def test_invalid_file_error_names_that_file(tmp_path, capsys, argv):
+    bad = write(tmp_path, _MISSING_POINT_3)
+    good = str(corpus_path("kt_inside" if argv[1] == "GOOD" else "kt_outside"))
+    code, out, err = run(capsys, *({"BAD": bad, "GOOD": good}.get(a, a) for a in argv))
+    assert (code, out) == (1, "")
+    violations = "boundary point 3 has no edge; edge 2 has 1 ends, expected exactly 2"
+    assert err == f"error: {bad}: {violations}\n"
+    assert good not in err
+
+
 def test_parse_tangle_comments_and_blanks():
     t = parse_tangle("# header\n\ntangle x\nside inside\nendpoints 0\nloop 2 # two\n")
     assert t.loops == 2

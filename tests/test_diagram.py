@@ -12,7 +12,6 @@ from tanglejones import (
     Matching,
     TangleDiagram,
     crossing_counts,
-    ensure_valid,
     resolve,
     serialize,
     validate,
@@ -28,22 +27,28 @@ def test_corpus_is_valid():
 
 
 def test_validate_reports_each_defect():
-    assert validate(TangleDiagram("x", "upside", 0, (), 0, {})) != []
-    assert validate(TangleDiagram("x", "inside", 3, (), 0, {})) != []
-    assert validate(TangleDiagram("x", "inside", 0, (), -1, {})) != []
+    # construction runs validate and raises with every message it gives
+    with pytest.raises(DiagramError, match="side must be 'inside' or 'outside', got 'upside'"):
+        TangleDiagram("x", "upside", 0, (), 0, {})
+    with pytest.raises(DiagramError, match="endpoints must be even, got 3"):
+        TangleDiagram("x", "inside", 3, (), 0, {})
+    with pytest.raises(DiagramError, match="loop count must be nonnegative, got -1"):
+        TangleDiagram("x", "inside", 0, (), -1, {})
     # edge 1 appears once, edge 2 three times
-    bad = TangleDiagram("x", "inside", 2, (Crossing(1, (1, 2, 2, 2)),), 0, {1: 3, 2: 3})
-    assert any("edge" in msg for msg in validate(bad))
+    with pytest.raises(DiagramError, match="^edge 1 has 1 ends, .*; edge 2 has 3 ends, "):
+        TangleDiagram("x", "inside", 2, (Crossing(1, (1, 2, 2, 2)),), 0, {1: 3, 2: 3})
     # boundary keys must be exactly 1..2n
-    bad = TangleDiagram("x", "inside", 2, (), 0, {1: 1, 3: 1})
-    assert any("boundary" in msg for msg in validate(bad))
-    with pytest.raises(DiagramError):
-        ensure_valid(TangleDiagram("x", "nowhere", 0, (), 0, {}))
+    with pytest.raises(
+        DiagramError, match="^boundary point 2 has no edge; boundary names point 3, outside 1..2$"
+    ):
+        TangleDiagram("x", "inside", 2, (), 0, {1: 1, 3: 1})
 
 
 def test_validate_rejects_bad_sign_and_slots():
-    assert validate(TangleDiagram("x", "inside", 0, (Crossing(2, (1, 1, 2, 2)),), 0, {})) != []
-    assert validate(TangleDiagram("x", "inside", 0, (Crossing(1, (0, 1, 1, 0)),), 0, {})) != []
+    with pytest.raises(DiagramError, match="crossing 1 has sign 2, expected"):
+        TangleDiagram("x", "inside", 0, (Crossing(2, (1, 1, 2, 2)),), 0, {})
+    with pytest.raises(DiagramError, match="crossing 1 has a non-positive edge label"):
+        TangleDiagram("x", "inside", 0, (Crossing(1, (0, 1, 1, 0)),), 0, {})
 
 
 def test_crossing_counts():
@@ -84,13 +89,11 @@ def test_resolve_validates_rho():
         resolve(t, (0, 2))
 
 
-def test_resolve_rejects_nonplanar_boundary():
-    # two crossingless strands 1-3 and 2-4 would have to cross: validate
-    # names the defect, and resolve still refuses the crossed matching
-    t = TangleDiagram("x", "inside", 4, (), 0, {1: 1, 2: 2, 3: 1, 4: 2})
-    assert [e for e in validate(t) if "not planar" in e]
-    with pytest.raises(DiagramError):
-        resolve(t, ())
+def test_nonplanar_boundary_cannot_be_built():
+    # two crossingless strands 1-3 and 2-4 would have to cross, so no
+    # diagram with that code exists for resolve to trace
+    with pytest.raises(DiagramError, match="not planar"):
+        TangleDiagram("x", "inside", 4, (), 0, {1: 1, 2: 2, 3: 1, 4: 2})
 
 
 def test_serialize_parse_round_trip():

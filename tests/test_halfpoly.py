@@ -22,8 +22,6 @@ def test_zero_and_one():
     assert ZERO == 0
     assert ONE == 1
     assert HalfLaurent({3: 0}) == ZERO
-    assert HalfLaurent.zero() == ZERO
-    assert HalfLaurent.one() == ONE
 
 
 def test_monomial_signs_and_exponents():
