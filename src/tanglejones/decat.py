@@ -19,13 +19,25 @@ Gradings of a decorated resolution with resolution bits rho:
 and the contribution is (-1)^h * q^i on the boundary generator obtained by
 deleting the free circles.
 
-One engine walks the resolution cube.  A free circle summed over its two
-decorations contributes q + q^(-1), so each resolution is only counted, on
-its boundary generator, by its number of 1-smoothings and of free circles;
-the counts then expand into polynomials with binomial coefficients.
+One engine walks the resolution cube, tracing each state with
+:func:`~tanglejones.diagram.resolve` on the index arrays the diagram
+compiled when it was built.  A free circle summed over its two decorations
+contributes q + q^(-1), so each resolution is only counted, on its
+boundary generator, by its number of 1-smoothings and of free circles; the
+counts then expand into polynomials with binomial coefficients.
 ``decat_vector`` and ``bracket`` both read that engine.  The only other
 state sum is the test suite's oracle, which lists every decorated
 resolution one by one.
+
+The positive Hopf link, glued from two one-crossing tangles:
+
+>>> from tanglejones.cli import parse_tangle
+>>> hopf = parse_tangle("tangle hopf\\nside inside\\nendpoints 0\\n"
+...                     "cross + 2 3 4 1\\ncross + 1 4 3 2\\n")
+>>> print(bracket(hopf))
+q^4 + q^2 + 1 + q^(-2)
+>>> print(jones(hopf))
+q^6 + q^4 + q^2 + 1
 """
 
 from __future__ import annotations

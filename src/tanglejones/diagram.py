@@ -19,6 +19,12 @@ smoothings: the 0-smoothing joins the slot pairs (a, b) and (c, d), the
 1-smoothing joins (a, d) and (b, c).  The resulting components split into
 free circles, which miss the boundary, and boundary-to-boundary strands,
 which induce a non-crossing matching of the 2n points.
+
+A state sum resolves one diagram 2^c times, so a valid diagram also
+compiles itself once, on construction, into flat index arrays: its edge
+labels numbered 0..E-1 in increasing order, each crossing's two smoothings
+as index 4-tuples, and the boundary points with the index of their edge.
+:func:`resolve` traces every state on those arrays alone.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .planar import Matching
 
@@ -59,6 +65,21 @@ class Crossing:
     slots: tuple[int, int, int, int]
 
 
+class _Compiled(NamedTuple):
+    """A valid diagram as flat index arrays, built once per diagram.
+
+    ``labels`` lists the edge labels in increasing order, so index i stands
+    for ``labels[i]``.  ``smoothings[c]`` holds crossing c's 0- and
+    1-smoothing, each as an index 4-tuple (w, x, y, z) that joins w to x
+    and y to z.  ``ends`` lists (point, index) for the boundary points in
+    increasing order.
+    """
+
+    labels: tuple[int, ...]
+    smoothings: tuple[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ...]
+    ends: tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class TangleDiagram:
     """A planar-diagram code for a tangle in a marked disk.
@@ -68,7 +89,9 @@ class TangleDiagram:
     slot of the boundary generators.  The instance is treated as immutable;
     ``boundary`` maps each point 1..2n to the edge ending there.
     Construction raises :class:`DiagramError` listing every violation that
-    :func:`validate` finds.
+    :func:`validate` finds; a valid diagram then compiles the private
+    ``_compiled`` arrays that :func:`resolve` reads, which take no part in
+    construction, repr or equality.
     """
 
     name: str
@@ -77,11 +100,13 @@ class TangleDiagram:
     crossings: tuple[Crossing, ...]
     loops: int = 0
     boundary: Mapping[int, int] = field(default_factory=dict)
+    _compiled: _Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         errors = validate(self)
         if errors:
             raise DiagramError("; ".join(errors))
+        object.__setattr__(self, "_compiled", _compile(self))
 
     def edge_labels(self) -> set[int]:
         labels = {e for cr in self.crossings for e in cr.slots}
@@ -97,6 +122,7 @@ class ResolvedState:
     boundary, ordered by smallest edge label; crossingless loops carry no
     edges and appear as empty sets at the end.  ``lam`` is the non-crossing
     matching the boundary-to-boundary strands induce on the 2n points.
+    Edges appear by label, never by their index in the compiled arrays.
     """
 
     free_circles: tuple[frozenset[int], ...]
@@ -202,6 +228,17 @@ def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
     return pieces, vertices - len(ports) // 2 + faces
 
 
+def _compile(t: TangleDiagram) -> _Compiled:
+    labels = tuple(sorted(t.edge_labels()))
+    index = {e: i for i, e in enumerate(labels)}
+    smoothings = []
+    for cr in t.crossings:
+        a, b, c, d = (index[e] for e in cr.slots)
+        smoothings.append(((a, b, c, d), (a, d, b, c)))
+    ends = tuple((p, index[t.boundary[p]]) for p in sorted(t.boundary))
+    return _Compiled(labels, tuple(smoothings), ends)
+
+
 def crossing_counts(t: TangleDiagram) -> tuple[int, int]:
     """(positive, negative) crossing counts."""
     plus = sum(1 for cr in t.crossings if cr.sign > 0)
@@ -220,43 +257,58 @@ def _find(parent: dict[int, int], x: int) -> int:
 def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     """Smooth every crossing according to rho and trace the components.
 
-    Raises :class:`ValueError` when rho is not one bit per crossing.  The
-    diagram is valid by construction, so every component is a closed loop
-    or a strand with two boundary ends, and the planarity check makes the
-    strands' matching non-crossing.
+    ``rho`` is any iterable of one 0/1 bit per crossing; anything else
+    raises :class:`ValueError`.  The state is traced on the diagram's
+    compiled index arrays by a list union-find that keeps each root at its
+    component's smallest index, so one final pass finds every root and the
+    free circles come out ordered by smallest label.  The diagram is valid
+    by construction, so every component is a closed loop or a strand with
+    two boundary ends, and the planarity check makes the strands' matching
+    non-crossing.
+
+    The Hopf link has two free circles when both crossings smooth alike
+    and one otherwise:
+
+    >>> hopf = TangleDiagram("hopf", "inside", 0,
+    ...                      (Crossing(1, (2, 3, 4, 1)), Crossing(1, (1, 4, 3, 2))))
+    >>> [len(resolve(hopf, rho).free_circles) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    [2, 1, 1, 2]
     """
-    rho = tuple(rho)
-    if len(rho) != len(t.crossings):
-        raise ValueError(f"expected {len(t.crossings)} resolution bits, got {len(rho)}")
-    if any(bit not in (0, 1) for bit in rho):
-        raise ValueError("resolution bits must be 0 or 1")
-    parent = {e: e for e in t.edge_labels()}
-
-    def union(x: int, y: int) -> None:
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for cr, bit in zip(t.crossings, rho):
-        a, b, c, d = cr.slots
+    labels, smoothings, ends = t._compiled
+    bits = tuple(rho)
+    if len(bits) != len(smoothings):
+        raise ValueError(f"expected {len(smoothings)} resolution bits, got {len(bits)}")
+    parent = list(range(len(labels)))
+    for (zero, one), bit in zip(smoothings, bits):
         if bit == 0:
-            union(a, b)
-            union(c, d)
+            joins = zero
+        elif bit == 1:
+            joins = one
         else:
-            union(a, d)
-            union(b, c)
+            raise ValueError("resolution bits must be 0 or 1")
+        for k in (0, 2):
+            x, y = joins[k], joins[k + 1]
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    # Every parent index is at most its child's, so one ascending pass
+    # leaves each entry at its root.
+    for i, up in enumerate(parent):
+        parent[i] = parent[up]
 
-    components: dict[int, set[int]] = {}
-    for e in parent:
-        components.setdefault(_find(parent, e), set()).add(e)
     points_on: dict[int, list[int]] = {}
-    for p in sorted(t.boundary):
-        points_on.setdefault(_find(parent, t.boundary[p]), []).append(p)
-
-    free = sorted(
-        (frozenset(edges) for root, edges in components.items() if root not in points_on),
-        key=min,
-    )
+    for p, i in ends:
+        points_on.setdefault(parent[i], []).append(p)
+    circles: dict[int, list[int]] = {}
+    for label, root in zip(labels, parent):
+        if root not in points_on:
+            circles.setdefault(root, []).append(label)
+    free = [frozenset(edges) for edges in circles.values()]
     free.extend(frozenset() for _ in range(t.loops))
 
     lam = Matching.from_arcs(t.endpoints // 2, points_on.values())

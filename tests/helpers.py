@@ -60,8 +60,12 @@ def _find(parent: dict[int, int], x: int) -> int:
     return x
 
 
-def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
-    """(free circles, induced boundary matching) of one resolution."""
+def joined_edges(t: TangleDiagram, rho: tuple[int, ...]) -> dict[int, int]:
+    """A union-find over every edge label, joined as rho smooths each crossing.
+
+    Two labels lie on one component of the resolution exactly when
+    ``_find`` gives them the same root.
+    """
     parent: dict[int, int] = {}
     for e in t.boundary.values():
         _find(parent, e)
@@ -69,6 +73,12 @@ def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
         a, b, c, d = cr.slots
         for x, y in ((a, b), (c, d)) if bit == 0 else ((a, d), (b, c)):
             parent[_find(parent, x)] = _find(parent, y)
+    return parent
+
+
+def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
+    """(free circles, induced boundary matching) of one resolution."""
+    parent = joined_edges(t, rho)
     ends: dict[int, list[int]] = {}
     for p in sorted(t.boundary):
         ends.setdefault(_find(parent, t.boundary[p]), []).append(p)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglejones import (
     Crossing,
@@ -18,7 +21,15 @@ from tanglejones import (
 )
 from tanglejones.cli import parse_tangle
 
-from .helpers import corpus_names, corpus_tangle
+from .helpers import (
+    _find,
+    _smooth,
+    corpus_names,
+    corpus_tangle,
+    joined_edges,
+    random_strand_tangle,
+    with_extra_loop,
+)
 
 
 def test_corpus_is_valid():
@@ -83,10 +94,18 @@ def test_resolve_counts_free_circles():
 
 def test_resolve_validates_rho():
     t = corpus_tangle("hopf")
-    with pytest.raises(ValueError):
-        resolve(t, (0,))
-    with pytest.raises(ValueError):
-        resolve(t, (0, 2))
+    state = resolve(t, (0, 1))
+    # any iterable of values equal to 0 or 1 is one bit per crossing
+    for rho in ((False, True), [0, 1], (0.0, 1.0), (b for b in (0, 1)), iter((0, True))):
+        assert resolve(t, rho) == state
+    for rho in ((0,), (0, 1, 0), (), (b for b in (0, 1, 1))):
+        with pytest.raises(ValueError, match="expected 2 resolution bits"):
+            resolve(t, rho)
+    for bad in (2, -1, 0.5, "0", None, (0,)):
+        with pytest.raises(ValueError, match="resolution bits must be 0 or 1"):
+            resolve(t, (0, bad))
+        with pytest.raises(ValueError, match="resolution bits must be 0 or 1"):
+            resolve(t, (bad, 1))
 
 
 def test_nonplanar_boundary_cannot_be_built():
@@ -114,3 +133,33 @@ def test_every_corpus_resolution_is_planar():
                 assert not circle & boundary_edges
                 for other in circles[k + 1 :]:
                     assert not circle & other
+
+
+def _agrees_with_oracle(t: TangleDiagram, rho: tuple[int, ...]) -> None:
+    state = resolve(t, rho)
+    assert (len(state.free_circles), state.lam) == _smooth(t, rho)
+    # the circles are the oracle's components that miss the boundary, by
+    # smallest label, then one empty set per crossingless loop
+    parent = joined_edges(t, rho)
+    components: dict[int, set[int]] = {}
+    for e in list(parent):
+        components.setdefault(_find(parent, e), set()).add(e)
+    strands = {_find(parent, e) for e in t.boundary.values()}
+    circles = sorted((frozenset(c) for r, c in components.items() if r not in strands), key=min)
+    assert state.free_circles == tuple(circles) + (frozenset(),) * t.loops
+
+
+def test_resolve_agrees_with_the_oracle_on_the_corpus():
+    for name in corpus_names():
+        t = corpus_tangle(name)
+        for diagram in (t, with_extra_loop(with_extra_loop(t))):
+            for rho in product((0, 1), repeat=len(t.crossings)):
+                _agrees_with_oracle(diagram, rho)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.integers(1, 8))
+def test_resolve_agrees_with_the_oracle_on_kink_chains(rng: random.Random, kinks: int):
+    t = random_strand_tangle(rng, max_kinks=kinks)
+    for rho in product((0, 1), repeat=len(t.crossings)):
+        _agrees_with_oracle(t, rho)

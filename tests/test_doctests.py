@@ -6,10 +6,10 @@ import doctest
 
 import pytest
 
-from tanglejones import cleaved, diagram, halfpoly, planar
+from tanglejones import cleaved, decat, diagram, halfpoly, planar
 
 
-@pytest.mark.parametrize("module", [halfpoly, planar, cleaved, diagram], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [halfpoly, planar, cleaved, diagram, decat], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0
