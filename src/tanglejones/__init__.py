@@ -7,56 +7,23 @@ unnormalized Jones polynomial of the glued link, and rotating the marked
 point realizes mutation, whose invariance this package verifies.
 """
 
-from .cleaved import CleavedGen, basis_count, basis_keys, circles_of, enumerate_cleaved
-from .decat import DecatVector, bracket, decat_vector, jones, pair
-from .diagram import (
-    Crossing,
-    DiagramError,
-    ResolvedState,
-    TangleDiagram,
-    crossing_counts,
-    resolve,
-    serialize,
-    validate,
-)
-from .halfpoly import ONE, ZERO, HalfLaurent, monomial, parse, render
-from .mutation import MutationReport, mutation_check, rotate_gen, rotate_vector
-from .planar import Matching, enumerate_matchings, rotate_matching, rotate_point
+from . import cleaved, decat, diagram, halfpoly, mutation, planar
+from .halfpoly import *
+from .planar import *
+from .cleaved import *
+from .diagram import *
+from .decat import *
+from .mutation import *
 
 __version__ = "0.1.0"
 
+# Layer by layer, in the order tests/test_api.py pins.
 __all__ = [
-    "HalfLaurent",
-    "ZERO",
-    "ONE",
-    "monomial",
-    "render",
-    "parse",
-    "Matching",
-    "enumerate_matchings",
-    "rotate_matching",
-    "rotate_point",
-    "CleavedGen",
-    "basis_count",
-    "basis_keys",
-    "circles_of",
-    "enumerate_cleaved",
-    "Crossing",
-    "TangleDiagram",
-    "ResolvedState",
-    "DiagramError",
-    "validate",
-    "resolve",
-    "crossing_counts",
-    "serialize",
-    "DecatVector",
-    "decat_vector",
-    "pair",
-    "jones",
-    "bracket",
-    "MutationReport",
-    "rotate_gen",
-    "rotate_vector",
-    "mutation_check",
+    *halfpoly.__all__,
+    *planar.__all__,
+    *cleaved.__all__,
+    *diagram.__all__,
+    *decat.__all__,
+    *mutation.__all__,
     "__version__",
 ]

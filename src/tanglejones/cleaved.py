@@ -41,21 +41,23 @@ def circles_of(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], ..
     """
     if inside.n != outside.n:
         raise ValueError("inside and outside matchings must pair the same points")
+    ins, outs = inside.pairs, outside.pairs
     seen: set[int] = set()
     circles: list[tuple[int, ...]] = []
     for start in range(1, 2 * inside.n + 1):
         if start in seen:
             continue
+        # One inside arc then one outside arc per step; a circle alternates
+        # the two kinds, so it closes after an outside arc.
         orbit: list[int] = []
         p = start
-        follow_inside = True
         while True:
-            orbit.append(p)
-            seen.add(p)
-            p = inside.partner(p) if follow_inside else outside.partner(p)
-            follow_inside = not follow_inside
+            mate = ins[p - 1]
+            orbit += (p, mate)
+            p = outs[mate - 1]
             if p == start:
                 break
+        seen.update(orbit)
         circles.append(tuple(sorted(orbit)))
     return tuple(circles)
 
@@ -128,8 +130,6 @@ def _circle_count(inside: Matching, outside: Matching) -> int:
 
 def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
     # One (inside, outside, circle count) per cleaved link, in basis order.
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     matchings = enumerate_matchings(n)
     for inside in matchings:
         for outside in matchings:

@@ -137,10 +137,14 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
 def load_tangle(path: str | Path) -> TangleDiagram:
     """Parse one tangle file into a diagram, which validates itself.
 
-    A :class:`DiagramError` is raised again with the path in front.
+    A :class:`DiagramError` is raised again with the path in front, and so
+    is a file that does not decode as text, as a ``ValueError``.
     """
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from err
     try:
         return parse_tangle(text, source=str(path))
     except DiagramError as err:
@@ -212,18 +216,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 def _cmd_mutate_check(args: argparse.Namespace) -> int:
     report = mutation_check(load_tangle(args.file))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "B-symmetry": report.nested_symmetric,
-                    "C-symmetry": report.parallel_symmetric,
-                    "M*^2-invariance": report.rotation_invariant,
-                }
-            )
-        )
-    else:
-        print(report.render())
+    print(json.dumps(report.to_json()) if args.json else report.render())
     return 0 if report.all_pass else 1
 
 
@@ -266,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(err, file=sys.stderr)
         return 2
-    except (DiagramError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ValueError, OSError) as err:  # DiagramError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

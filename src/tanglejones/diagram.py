@@ -37,10 +37,10 @@ from typing import Iterable, Mapping, NamedTuple
 from .planar import Matching
 
 __all__ = [
-    "DiagramError",
     "Crossing",
     "TangleDiagram",
     "ResolvedState",
+    "DiagramError",
     "validate",
     "resolve",
     "crossing_counts",

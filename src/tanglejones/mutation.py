@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cleaved import CleavedGen, circles_of
+from .cleaved import CleavedGen
 from .decat import DecatVector, decat_vector
 from .diagram import DiagramError, TangleDiagram
 from .planar import Matching, rotate_matching, rotate_point
@@ -29,19 +29,17 @@ __all__ = ["MutationReport", "rotate_gen", "rotate_vector", "mutation_check"]
 def rotate_gen(g: CleavedGen, steps: int) -> CleavedGen:
     """The cleaved link after moving the marked point the given steps.
 
-    Both matchings rotate and every circle keeps its decoration; the
-    decoration tuple is reindexed by the circles' new smallest points.
+    Both matchings rotate, and every circle is relabeled point by point and
+    keeps its decoration; the decorations are reordered by the circles' new
+    smallest points.
     """
+    moved = sorted(
+        (min(rotate_point(p, steps, g.n) for p in circle), dec)
+        for circle, dec in zip(g.circles(), g.decs)
+    )
     ins = rotate_matching(g.inside, steps)
     outs = rotate_matching(g.outside, steps)
-    if not g.decs:
-        return CleavedGen(ins, outs, ())
-    new_index = {min(circle): pos for pos, circle in enumerate(circles_of(ins, outs))}
-    decs = [0] * len(g.decs)
-    for dec, circle in zip(g.decs, g.circles()):
-        new_min = min(rotate_point(p, steps, g.n) for p in circle)
-        decs[new_index[new_min]] = dec
-    return CleavedGen(ins, outs, tuple(decs))
+    return CleavedGen(ins, outs, tuple(dec for _, dec in moved))
 
 
 def rotate_vector(v: DecatVector, steps: int) -> DecatVector:
@@ -72,16 +70,17 @@ class MutationReport:
     def all_pass(self) -> bool:
         return self.nested_symmetric and self.parallel_symmetric and self.rotation_invariant
 
-    def render(self) -> str:
-        def verdict(ok: bool) -> str:
-            return "PASS" if ok else "FAIL"
+    def to_json(self) -> dict[str, bool]:
+        """The three verdicts under their report labels."""
+        return {
+            "B-symmetry": self.nested_symmetric,
+            "C-symmetry": self.parallel_symmetric,
+            "M*^2-invariance": self.rotation_invariant,
+        }
 
+    def render(self) -> str:
         return "\n".join(
-            [
-                f"B-symmetry: {verdict(self.nested_symmetric)}",
-                f"C-symmetry: {verdict(self.parallel_symmetric)}",
-                f"M*^2-invariance: {verdict(self.rotation_invariant)}",
-            ]
+            f"{label}: {'PASS' if ok else 'FAIL'}" for label, ok in self.to_json().items()
         )
 
 

@@ -176,14 +176,13 @@ def rotate_point(p: int, steps: int, n: int) -> int:
 def rotate_matching(m: Matching, steps: int) -> Matching:
     """The same arcs after relabeling every point with :func:`rotate_point`.
 
-    Rotation preserves the cyclic order, so the result is non-crossing.
+    The new point p was the old point p + steps (cyclically), and its
+    partner is that point's old partner, relabeled.  Rotation preserves the
+    cyclic order, so the result is non-crossing; construction checks it.
 
     >>> str(rotate_matching(Matching.decode((4, 2)), 1))
     '2,4'
     """
-    if m.n == 0:
-        return m
-    arcs = (
-        (rotate_point(a, steps, m.n), rotate_point(b, steps, m.n)) for a, b in m.arcs()
-    )
-    return Matching.from_arcs(m.n, arcs)
+    total = 2 * m.n
+    pairs = tuple(rotate_point(m.pairs[(i + steps) % total], steps, m.n) for i in range(total))
+    return Matching(m.n, pairs)

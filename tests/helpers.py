@@ -87,13 +87,20 @@ def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
     return len(roots - ends.keys()) + t.loops, lam
 
 
-def _cut_circles(inside: Matching, outside: Matching) -> int:
-    """The number of circles of a cleaved link, by a union-find of points."""
+def _cut_circles(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], ...]:
+    """The circles of a cleaved link, by a union-find of points.
+
+    Each circle is a sorted point tuple, and the circles are sorted by
+    their smallest points.
+    """
     parent: dict[int, int] = {}
     for m in (inside, outside):
         for a, b in m.arcs():
             parent[_find(parent, a)] = _find(parent, b)
-    return len({_find(parent, p) for p in parent})
+    classes: dict[int, list[int]] = {}
+    for p in sorted(parent):
+        classes.setdefault(_find(parent, p), []).append(p)
+    return tuple(sorted(tuple(c) for c in classes.values()))
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def generators(t: TangleDiagram) -> Iterator[Generator]:
             ins, outs = (lam, far) if t.side == "inside" else (far, lam)
             cuts = [
                 CleavedGen(ins, outs, cut_decs)
-                for cut_decs in product((1, -1), repeat=_cut_circles(ins, outs))
+                for cut_decs in product((1, -1), repeat=len(_cut_circles(ins, outs)))
             ]
             for free_decs in product((1, -1), repeat=free):
                 for b in cuts:

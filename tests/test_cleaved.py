@@ -13,7 +13,10 @@ from tanglejones import (
     basis_keys,
     circles_of,
     enumerate_cleaved,
+    enumerate_matchings,
 )
+
+from .helpers import _cut_circles
 
 small_gens = st.integers(1, 3).flatmap(lambda n: st.sampled_from(enumerate_cleaved(n)))
 
@@ -38,6 +41,20 @@ def test_circle_structure_n2():
     assert circles_of(parallel, nested) == ((1, 2, 3, 4),)
     assert circles_of(nested, nested) == ((1, 4), (2, 3))
     assert circles_of(parallel, parallel) == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_circles_agree_with_a_union_find_of_points(n):
+    matchings = enumerate_matchings(n)
+    for inside in matchings:
+        for outside in matchings:
+            assert circles_of(inside, outside) == _cut_circles(inside, outside), (inside, outside)
+
+
+def test_circles_are_ordered_by_smallest_point():
+    # Walking from the odd points only would list (3, 4) before (2, 5).
+    m = Matching.decode((6, 4, 2))
+    assert circles_of(m, m) == _cut_circles(m, m) == ((1, 6), (2, 5), (3, 4))
 
 
 def test_keys_n2():

@@ -171,10 +171,13 @@ def test_mutate_check_json(capsys):
     }
 
 
-def test_missing_file_is_semantic_error(capsys):
+def test_missing_file_is_semantic_error(tmp_path, capsys):
     code, _, err = run(capsys, "decat", "no/such/file.tangle")
     assert code == 1
     assert err != ""
+    code, out, err = run(capsys, "decat", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def write(tmp_path, text):
@@ -296,6 +299,22 @@ def test_invalid_file_error_names_that_file(tmp_path, capsys, argv):
     assert (code, out) == (1, "")
     violations = "boundary point 3 has no edge; edge 2 has 1 ends, expected exactly 2"
     assert err == f"error: {bad}: {violations}\n"
+    assert good not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decat", "BAD"], ["pair", "BAD", "GOOD"], ["pair", "GOOD", "BAD"]],
+    ids=["decat", "pair-bad-first", "pair-bad-second"],
+)
+def test_undecodable_file_error_names_that_file(tmp_path, capsys, argv):
+    bad = tmp_path / "t.tangle"
+    bad.write_bytes(b"\xfftangle x\n")
+    good = str(corpus_path("kt_inside" if argv[1] == "GOOD" else "kt_outside"))
+    code, out, err = run(capsys, *({"BAD": str(bad), "GOOD": good}.get(a, a) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ")
+    assert err.count(str(bad)) == 1
     assert good not in err
 
 

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tanglejones import (
+    CleavedGen,
     DiagramError,
+    Matching,
     MutationReport,
+    circles_of,
     enumerate_cleaved,
     mutation_check,
     rotate_gen,
+    rotate_matching,
+    rotate_point,
     rotate_vector,
 )
 
@@ -40,6 +47,43 @@ def test_rotation_is_a_basis_bijection(g, steps):
 @given(gens_n123)
 def test_full_turn_fixes_generators(g):
     assert rotate_gen(g, 2 * g.n) == g
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_rotations_compose(n):
+    steps = range(-2 * n, 2 * n + 1)
+    for g in enumerate_cleaved(n):
+        for a in steps:
+            once = rotate_gen(g, a)
+            for b in steps:
+                assert rotate_gen(once, b) == rotate_gen(g, a + b), (g.key(), a, b)
+
+
+def _retrace_rotation(g: CleavedGen, steps: int, labels: tuple) -> tuple:
+    # Trace the rotated link afresh, then give each of its circles the label
+    # of the old circle whose relabeled smallest point is its smallest point.
+    ins = rotate_matching(g.inside, steps)
+    outs = rotate_matching(g.outside, steps)
+    position = {min(circle): i for i, circle in enumerate(circles_of(ins, outs))}
+    out = [None] * len(labels)
+    for label, circle in zip(labels, g.circles()):
+        out[position[min(rotate_point(p, steps, g.n) for p in circle)]] = label
+    return tuple(out)
+
+
+def test_rotation_agrees_with_retracing_the_rotated_link():
+    # Three circles, (1, 6), (2, 5) and (3, 4); the letters stand for three
+    # distinct decorations, which the eight sign patterns pin down together.
+    m = Matching.decode((6, 4, 2))
+    base = CleavedGen(m, m, (1, 1, 1))
+    assert _retrace_rotation(base, 1, ("a", "b", "c")) == ("b", "c", "a")
+    assert rotate_gen(CleavedGen(m, m, (1, -1, -1)), 1).decs == (-1, -1, 1)
+    for steps in range(1, 6):
+        turned = rotate_matching(m, steps)
+        for decs in product((1, -1), repeat=3):
+            g = CleavedGen(m, m, decs)
+            expected = CleavedGen(turned, turned, _retrace_rotation(g, steps, decs))
+            assert rotate_gen(g, steps) == expected, (steps, decs)
 
 
 def test_rotate_vector_round_trip():
