@@ -19,11 +19,12 @@ Gradings of a decorated resolution with resolution bits rho:
 and the contribution is (-1)^h * q^i on the boundary generator obtained by
 deleting the free circles.
 
-One engine walks the resolution cube, tracing each state with
-:func:`~tanglejones.diagram.resolve` on the index arrays the diagram
-compiled when it was built.  A free circle summed over its two decorations
-contributes q + q^(-1), so each resolution is only counted, on its
-boundary generator, by its number of 1-smoothings and of free circles; the
+One engine walks the resolution cube.  A free circle summed over its two
+decorations contributes q + q^(-1), so a resolution needs only three
+facts: its number of 1-smoothings, its number of free circles and its
+boundary matching.  Each state is counted on the index arrays the diagram
+compiled when it was built, by the union-find behind
+:func:`~tanglejones.diagram.resolve`, without building its circles; the
 counts then expand into polynomials with binomial coefficients.
 ``decat_vector`` and ``bracket`` both read that engine.  The only other
 state sum is the test suite's oracle, which lists every decorated
@@ -48,7 +49,9 @@ from operator import itemgetter
 from typing import Mapping
 
 from .cleaved import CleavedGen, circles_of
-from .diagram import DiagramError, TangleDiagram, crossing_counts, resolve
+from .diagram import DiagramError, TangleDiagram, _join, _partners, crossing_counts
+# Unused here: perfbench/trace.py wraps decat.resolve and its self-test reads it.
+from .diagram import resolve  # noqa: F401
 from .halfpoly import ZERO, HalfLaurent
 from .planar import Matching, enumerate_matchings
 
@@ -135,17 +138,30 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     boundary generator; it is counted there under the pair (number of
     1-smoothings, number of free circles), which is all its contribution
     depends on once the free circles are summed over their decorations.
+
+    Each state is joined on the compiled arrays into len(labels) - merges
+    components.  n of them are strands, one per pair of boundary ends, so
+    the rest, with the loops, are its free circles.  Its matching is looked
+    up by partner tuple, so at most Catalan(n) matchings are built per call.
     """
-    far_matchings = enumerate_matchings(t.endpoints // 2)
+    labels, smoothings, ends = t._compiled
+    n = t.endpoints // 2
+    free0 = len(labels) - n + t.loops
+    far_matchings = enumerate_matchings(n)
+    lams: dict[tuple[int, ...], Matching] = {}
     counts: dict[CleavedGen, dict[tuple[int, int], int]] = {}
-    for rho in product((0, 1), repeat=len(t.crossings)):
-        state = resolve(t, rho)
-        how = (sum(rho), len(state.free_circles))
+    for rho in product((0, 1), repeat=len(smoothings)):
+        parent, merges = _join(smoothings, len(labels), rho)
+        how = (sum(rho), free0 - merges)
+        partners = _partners(parent, ends)
+        lam = lams.get(partners)
+        if lam is None:
+            lam = lams[partners] = Matching(n, partners)
         for far in far_matchings:
             if t.side == "inside":
-                ins, outs = state.lam, far
+                ins, outs = lam, far
             else:
-                ins, outs = far, state.lam
+                ins, outs = far, lam
             k = len(circles_of(ins, outs))
             for cut_decs in product((1, -1), repeat=k):
                 by_how = counts.setdefault(CleavedGen(ins, outs, cut_decs), {})

@@ -24,7 +24,9 @@ A state sum resolves one diagram 2^c times, so a valid diagram also
 compiles itself once, on construction, into flat index arrays: its edge
 labels numbered 0..E-1 in increasing order, each crossing's two smoothings
 as index 4-tuples, and the boundary points with the index of their edge.
-:func:`resolve` traces every state on those arrays alone.
+One union-find on those arrays joins the edges of a state; the state sum
+counts states with it directly, and :func:`resolve` is the readable view
+of one state, with its circles and matching, built on the same union-find.
 """
 
 from __future__ import annotations
@@ -254,31 +256,20 @@ def _find(parent: dict[int, int], x: int) -> int:
     return root
 
 
-def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
-    """Smooth every crossing according to rho and trace the components.
+def _join(
+    smoothings: tuple[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ...],
+    size: int,
+    bits: Iterable[int],
+) -> tuple[list[int], int]:
+    """(root of each edge index, number of merges) of one resolution.
 
-    ``rho`` is any iterable of one 0/1 bit per crossing; anything else
-    raises :class:`ValueError`.  The state is traced on the diagram's
-    compiled index arrays by a list union-find that keeps each root at its
-    component's smallest index, so one final pass finds every root and the
-    free circles come out ordered by smallest label.  The diagram is valid
-    by construction, so every component is a closed loop or a strand with
-    two boundary ends, and the planarity check makes the strands' matching
-    non-crossing.
-
-    The Hopf link has two free circles when both crossings smooth alike
-    and one otherwise:
-
-    >>> hopf = TangleDiagram("hopf", "inside", 0,
-    ...                      (Crossing(1, (2, 3, 4, 1)), Crossing(1, (1, 4, 3, 2))))
-    >>> [len(resolve(hopf, rho).free_circles) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    [2, 1, 1, 2]
+    A list union-find over ``size`` edge indices links the larger root
+    under the smaller, so each root is its component's smallest index and
+    the components number ``size`` minus the merges.  A bit other than 0
+    or 1 raises :class:`ValueError`.
     """
-    labels, smoothings, ends = t._compiled
-    bits = tuple(rho)
-    if len(bits) != len(smoothings):
-        raise ValueError(f"expected {len(smoothings)} resolution bits, got {len(bits)}")
-    parent = list(range(len(labels)))
+    parent = list(range(size))
+    merges = 0
     for (zero, one), bit in zip(smoothings, bits):
         if bit == 0:
             joins = zero
@@ -294,25 +285,63 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
                 y = parent[y]
             if x < y:
                 parent[y] = x
+                merges += 1
             elif y < x:
                 parent[x] = y
+                merges += 1
     # Every parent index is at most its child's, so one ascending pass
     # leaves each entry at its root.
     for i, up in enumerate(parent):
         parent[i] = parent[up]
+    return parent, merges
 
-    points_on: dict[int, list[int]] = {}
+
+def _partners(parent: list[int], ends: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The partner of each boundary point 1..2n: the other end of its strand."""
+    pairs = [0] * len(ends)
+    first: dict[int, int] = {}
     for p, i in ends:
-        points_on.setdefault(parent[i], []).append(p)
+        mate = first.pop(parent[i], 0)
+        if mate:
+            pairs[p - 1], pairs[mate - 1] = mate, p
+        else:
+            first[parent[i]] = p
+    return tuple(pairs)
+
+
+def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
+    """Smooth every crossing according to rho and trace the components.
+
+    ``rho`` is any iterable of one 0/1 bit per crossing; anything else
+    raises :class:`ValueError`.  This is the readable view of one state,
+    for tests and callers that want its circles; the state sum counts
+    states on the same union-find (``_join``) and builds no circles.  Each
+    root is its component's smallest index, so the free circles come out
+    ordered by smallest label.  The diagram is valid by construction, so
+    every component is a closed loop or a strand with two boundary ends,
+    and the planarity check makes the strands' matching non-crossing.
+
+    The Hopf link has two free circles when both crossings smooth alike
+    and one otherwise:
+
+    >>> hopf = TangleDiagram("hopf", "inside", 0,
+    ...                      (Crossing(1, (2, 3, 4, 1)), Crossing(1, (1, 4, 3, 2))))
+    >>> [len(resolve(hopf, rho).free_circles) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    [2, 1, 1, 2]
+    """
+    labels, smoothings, ends = t._compiled
+    bits = tuple(rho)
+    if len(bits) != len(smoothings):
+        raise ValueError(f"expected {len(smoothings)} resolution bits, got {len(bits)}")
+    parent, _ = _join(smoothings, len(labels), bits)
+    on_boundary = {parent[i] for _, i in ends}
     circles: dict[int, list[int]] = {}
     for label, root in zip(labels, parent):
-        if root not in points_on:
+        if root not in on_boundary:
             circles.setdefault(root, []).append(label)
     free = [frozenset(edges) for edges in circles.values()]
     free.extend(frozenset() for _ in range(t.loops))
-
-    lam = Matching.from_arcs(t.endpoints // 2, points_on.values())
-    return ResolvedState(tuple(free), lam)
+    return ResolvedState(tuple(free), Matching(t.endpoints // 2, _partners(parent, ends)))
 
 
 def serialize(t: TangleDiagram) -> str:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 from typing import Iterator
 
@@ -255,6 +255,79 @@ def random_strand_tangle(rng: random.Random, max_kinks: int = 5) -> TangleDiagra
     return TangleDiagram(
         f"kinks{kinks}", "inside", 2, tuple(crossings), 0, {1: 1, 2: edge}
     )
+
+
+def braid(
+    strands: int, word: list[tuple[int, int]], side: str
+) -> tuple[list[Crossing], list[int], list[int]]:
+    """(crossings, bottom edges, top edges) of a braid drawn in a strip.
+
+    Strands run upward, and letter (i, +1) or (i, -1) crosses the strands
+    at positions i and i+1 (0-based) as sigma_(i+1) or its inverse: in
+    sigma_i the over-strand rises from bottom-left to top-right.  Slots run
+    counterclockwise from the incoming under-strand as seen from the disk
+    named by ``side``; the outside disk sees the strip mirrored.  Each sign
+    follows the upward orientation: +1 exactly when the over-strand enters
+    at the fourth slot.  Both edge lists run left to right.
+    """
+    fresh = count(1)
+    bottom = [next(fresh) for _ in range(strands)]
+    now = list(bottom)
+    crossings = []
+    for i, power in word:
+        bl, br = now[i], now[i + 1]
+        tl, tr = next(fresh), next(fresh)
+        ring = [bl, br, tr, tl]
+        if side == "outside":
+            ring.reverse()
+        under_in = br if power > 0 else bl
+        start = ring.index(under_in)
+        slots = tuple(ring[start:] + ring[:start])
+        crossings.append(Crossing(1 if slots[3] in (bl, br) else -1, slots))
+        now[i : i + 2] = [tl, tr]
+    return crossings, bottom, now
+
+
+def shuffled(t: TangleDiagram, rng: random.Random) -> TangleDiagram:
+    """The same diagram with edge labels permuted and crossings reordered."""
+    labels = sorted(t.edge_labels())
+    fresh = rng.sample(range(1, len(labels) + 1), len(labels))
+    to = dict(zip(labels, fresh))
+    crossings = [Crossing(c.sign, tuple(to[e] for e in c.slots)) for c in t.crossings]
+    rng.shuffle(crossings)
+    boundary = {p: to[e] for p, e in t.boundary.items()}
+    return TangleDiagram(t.name, t.side, t.endpoints, tuple(crossings), t.loops, boundary)
+
+
+def random_braid_tangle(rng: random.Random) -> TangleDiagram:
+    """A random braid on 2-4 strands with 3-8 crossings, read as a tangle.
+
+    The side is drawn at random.  Points 1..k are the bottom ends from left
+    to right and k+1..2k the top ends from right to left, counterclockwise
+    from the bottom-left corner, so k strands give 2k endpoints.
+    """
+    strands = rng.randint(2, 4)
+    side = rng.choice(("inside", "outside"))
+    word = [
+        (rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(3, 8))
+    ]
+    crossings, bottom, top = braid(strands, word, side)
+    boundary = dict(enumerate(bottom + top[::-1], start=1))
+    name = f"braid{strands}_{len(word)}"
+    return shuffled(
+        TangleDiagram(name, side, 2 * strands, tuple(crossings), 0, boundary), rng
+    )
+
+
+def braid_closure(name: str, strands: int, word: list[tuple[int, int]]) -> TangleDiagram:
+    """The closed diagram of a braid word: each top end joins the bottom end
+    below it along an arc around the right of the strip, and a strand that
+    no letter crosses closes into a loop."""
+    crossings, bottom, top = braid(strands, word, "inside")
+    to = dict(zip(top, bottom))
+    crossings = [Crossing(c.sign, tuple(to.get(e, e) for e in c.slots)) for c in crossings]
+    loops = sum(1 for b, t in zip(bottom, top) if b == t)
+    return TangleDiagram(name, "inside", 0, tuple(crossings), loops)
 
 
 def random_partial_resolutions(
