@@ -12,19 +12,17 @@ through the same machinery as genuine tangles.
 
 >>> circles_of(Matching.decode((4, 2)), Matching.decode((4, 2)))
 ((1, 4), (2, 3))
->>> len(enumerate_cleaved(2))
-12
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
 from .planar import Matching, enumerate_matchings
 
-__all__ = ["CleavedGen", "basis_count", "basis_keys", "circles_of", "enumerate_cleaved"]
+__all__ = ["CleavedGen", "basis_count", "basis_keys", "circles_of"]
 
 _SIGNS = {1: "+", -1: "-"}
 
@@ -99,17 +97,6 @@ class CleavedGen:
         signs = "".join(map(_SIGNS.__getitem__, self.decs))
         return f"[{self.inside}|{self.outside}|{signs}]"
 
-    def flip(self, circle_index: int) -> CleavedGen:
-        """The same cleaved link with the decoration on one circle negated.
-
-        Circles are numbered from 1 in circle order.
-        """
-        if not 1 <= circle_index <= len(self.decs):
-            raise IndexError(f"circle index {circle_index} out of range 1..{len(self.decs)}")
-        decs = list(self.decs)
-        decs[circle_index - 1] = -decs[circle_index - 1]
-        return replace(self, decs=tuple(decs))
-
 
 def _circle_count(inside: Matching, outside: Matching) -> int:
     # Every arc joins an odd point to an even one, so an inside arc followed
@@ -136,20 +123,6 @@ def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
             yield inside, outside, _circle_count(inside, outside)
 
 
-def enumerate_cleaved(n: int) -> list[CleavedGen]:
-    """All decorated cleaved links on 2n points, in deterministic order.
-
-    Ordered lexicographically by inside encoding, then outside encoding,
-    then decorations with + before -.  The counts for n = 1, 2, 3 are
-    2, 12 and 104.
-    """
-    return [
-        CleavedGen(inside, outside, decs)
-        for inside, outside, k in _blocks(n)
-        for decs in product((1, -1), repeat=k)
-    ]
-
-
 def basis_count(n: int) -> int:
     """The number of decorated cleaved links on 2n points.
 
@@ -160,10 +133,12 @@ def basis_count(n: int) -> int:
 
 
 def basis_keys(n: int) -> Iterator[str]:
-    """The keys of :func:`enumerate_cleaved`, in its order, one at a time.
+    """The keys of the decorated cleaved links on 2n points, one at a time.
 
-    Keys are rendered straight from the matchings, so listing the basis
-    builds no :class:`CleavedGen` and keeps no key once it is yielded.
+    Ordered lexicographically by inside encoding, then outside encoding,
+    then decorations with + before -.  Keys are rendered straight from the
+    matchings, so listing the basis builds no :class:`CleavedGen` and keeps
+    no key once it is yielded.
 
     >>> list(basis_keys(1))
     ['[2|2|+]', '[2|2|-]']

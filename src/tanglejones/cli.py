@@ -53,8 +53,6 @@ class ParseError(Exception):
     def __init__(self, line: int, message: str, source: str = "<string>"):
         super().__init__(f"{source}: line {line}: {message}")
         self.line = line
-        self.message = message
-        self.source = source
 
 
 def _positive_int(token: str, what: str, lineno: int, source: str) -> int:

@@ -89,10 +89,6 @@ class DecatVector:
     def get(self, g: CleavedGen) -> HalfLaurent:
         return self._coeffs.get(g, ZERO)
 
-    def support(self) -> tuple[CleavedGen, ...]:
-        """The generators with nonzero coefficient, sorted by key."""
-        return tuple(sorted(self._coeffs, key=CleavedGen.key))
-
     def items(self) -> list[tuple[CleavedGen, HalfLaurent]]:
         """The (generator, coefficient) pairs in storage order, unsorted.
 

@@ -46,12 +46,13 @@ __all__ = [
     "validate",
     "resolve",
     "crossing_counts",
-    "serialize",
 ]
 
 
 # Missing boundary points named one by one before the rest are counted.
 _LISTED_POINTS = 5
+# Each loop multiplies every state by q + q^(-1); far more never finish.
+_MAX_LOOPS = 1000
 
 
 class DiagramError(ValueError):
@@ -149,6 +150,8 @@ def validate(t: TangleDiagram) -> list[str]:
         errors.append(f"endpoints must be even, got {t.endpoints}")
     if t.loops < 0:
         errors.append(f"loop count must be nonnegative, got {t.loops}")
+    elif t.loops > _MAX_LOOPS:
+        errors.append(f"loop count {t.loops} exceeds the limit of {_MAX_LOOPS}")
     for idx, cr in enumerate(t.crossings, start=1):
         if cr.sign not in (1, -1):
             errors.append(f"crossing {idx} has sign {cr.sign!r}, expected +1 or -1")
@@ -343,15 +346,3 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     free.extend(frozenset() for _ in range(t.loops))
     return ResolvedState(tuple(free), Matching(t.endpoints // 2, _partners(parent, ends)))
 
-
-def serialize(t: TangleDiagram) -> str:
-    """The diagram in its text file format; inverse to parsing."""
-    lines = [f"tangle {t.name}", f"side {t.side}", f"endpoints {t.endpoints}"]
-    for cr in t.crossings:
-        sign = "+" if cr.sign > 0 else "-"
-        lines.append("cross {} {} {} {} {}".format(sign, *cr.slots))
-    if t.loops:
-        lines.append(f"loop {t.loops}")
-    for p in sorted(t.boundary):
-        lines.append(f"boundary {p} {t.boundary[p]}")
-    return "\n".join(lines) + "\n"

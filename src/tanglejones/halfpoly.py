@@ -6,21 +6,20 @@ Doubling every exponent keeps the keys honest integers; no fractional
 arithmetic happens anywhere.  Coefficients are plain Python integers, so
 exactness is never in question.
 
->>> render(monomial(0, Fraction(3, 2)))
+>>> HalfLaurent({3: 1}).render()
 'q^(3/2)'
->>> render(monomial(1, Fraction(5, 2)))
+>>> HalfLaurent({5: -1}).render()
 '-q^(5/2)'
->>> render(parse("q^6 + q^4 + q^2 + 1"))
+>>> parse("q^6 + q^4 + q^2 + 1").render()
 'q^6 + q^4 + q^2 + 1'
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Mapping
 
-__all__ = ["HalfLaurent", "ZERO", "ONE", "monomial", "render", "parse"]
+__all__ = ["HalfLaurent", "ZERO", "ONE", "parse"]
 
 
 class HalfLaurent:
@@ -43,10 +42,6 @@ class HalfLaurent:
                     data[e2] = c
         self._terms = data
 
-    def coefficient(self, e2: int) -> int:
-        """The coefficient of q^(e2/2)."""
-        return self._terms.get(e2, 0)
-
     def sorted_terms(self) -> tuple[tuple[int, int], ...]:
         """(doubled exponent, coefficient) pairs in descending exponent order."""
         return tuple(sorted(self._terms.items(), reverse=True))
@@ -60,7 +55,7 @@ class HalfLaurent:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = _const(other)
+            other = HalfLaurent({0: other})
         if not isinstance(other, HalfLaurent):
             return NotImplemented
         return self._terms == other._terms
@@ -113,7 +108,16 @@ class HalfLaurent:
         return result
 
     def render(self) -> str:
-        """Canonical text form; see :func:`render`."""
+        """Canonical text form.
+
+        Terms appear in strictly descending exponent order and are joined
+        by " + " or " - " according to the sign of the coefficient.
+        Exponent 1 prints as "q", nonnegative integer exponents print bare
+        ("q^3"), and every other exponent is parenthesised ("q^(-1)",
+        "q^(3/2)").  The constant term prints as a bare integer, a unit
+        coefficient is omitted elsewhere ("2*q^2" but "q^2"), and the zero
+        polynomial prints as "0".
+        """
         terms = self.sorted_terms()
         if not terms:
             return "0"
@@ -133,38 +137,16 @@ class HalfLaurent:
         return f"<HalfLaurent {self.render()}>"
 
 
-def _const(c: int) -> HalfLaurent:
-    return HalfLaurent({0: c})
-
-
 def _coerce(value: object) -> HalfLaurent:
     if isinstance(value, HalfLaurent):
         return value
     if isinstance(value, int):
-        return _const(value)
+        return HalfLaurent({0: value})
     return NotImplemented
 
 
 ZERO = HalfLaurent()
 ONE = HalfLaurent({0: 1})
-
-
-def monomial(h: int, i: Fraction | int | float) -> HalfLaurent:
-    """The one-term polynomial (-1)^h * q^i.
-
-    The exponent ``i`` must be an integer or half-integer; anything with a
-    different denominator is rejected.
-
-    >>> render(monomial(0, 0))
-    '1'
-    >>> render(monomial(1, 2))
-    '-q^2'
-    """
-    i = Fraction(i)
-    if i.denominator not in (1, 2):
-        raise ValueError(f"exponent {i} is not an integer or half-integer")
-    e2 = i.numerator * (2 // i.denominator)
-    return HalfLaurent({e2: -1 if h % 2 else 1})
 
 
 def _render_term(e2: int, mag: int) -> str:
@@ -181,19 +163,6 @@ def _render_term(e2: int, mag: int) -> str:
         else:
             power = f"q^({k})"
     return power if mag == 1 else f"{mag}*{power}"
-
-
-def render(a: HalfLaurent) -> str:
-    """Canonical text form of a polynomial.
-
-    Terms appear in strictly descending exponent order and are joined by
-    " + " or " - " according to the sign of the coefficient.  Exponent 1
-    prints as "q", nonnegative integer exponents print bare ("q^3"), and
-    every other exponent is parenthesised ("q^(-1)", "q^(3/2)").  The
-    constant term prints as a bare integer, a unit coefficient is omitted
-    elsewhere ("2*q^2" but "q^2"), and the zero polynomial prints as "0".
-    """
-    return a.render()
 
 
 _TERM_RE = re.compile(
@@ -224,9 +193,9 @@ def _parse_term(token: str) -> tuple[int, int]:
 
 
 def parse(text: str) -> HalfLaurent:
-    """Inverse of :func:`render` on canonical strings.
+    """Inverse of :meth:`HalfLaurent.render` on canonical strings.
 
-    >>> parse("-q^(5/2)") == monomial(1, Fraction(5, 2))
+    >>> parse("-q^(5/2)") == HalfLaurent({5: -1})
     True
     >>> parse("0") == ZERO
     True

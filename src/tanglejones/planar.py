@@ -8,8 +8,8 @@ matching is determined by the tuple listing, for k = 1..n, the even point
 paired with point 2k-1.  That tuple is the matching's encoding and doubles
 as its text form ("4,2" for the nested pair of arcs 1-4, 3-2).
 
->>> Matching.decode((4, 2)).arcs()
-((1, 4), (3, 2))
+>>> Matching.decode((4, 2)).pairs
+(4, 3, 2, 1)
 >>> len(enumerate_matchings(3))
 5
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Matching",
@@ -68,16 +68,6 @@ class Matching:
                     raise ValueError(f"arcs interleave at point {p}")
                 stack.pop()
 
-    def partner(self, p: int) -> int:
-        """The point paired with p."""
-        if not 1 <= p <= 2 * self.n:
-            raise ValueError(f"point {p} outside 1..{2 * self.n}")
-        return self.pairs[p - 1]
-
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        """The arcs as (odd point, even partner) pairs, by increasing odd point."""
-        return tuple((p, self.pairs[p - 1]) for p in range(1, 2 * self.n, 2))
-
     def encode(self) -> tuple[int, ...]:
         """The even partners of points 1, 3, ..., 2n-1 in order.
 
@@ -102,19 +92,6 @@ class Matching:
             odd = 2 * k + 1
             pairs[odd - 1] = even
             pairs[even - 1] = odd
-        return cls(n, tuple(pairs))
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> Matching:
-        """The matching with the given arcs; validates on construction."""
-        pairs = [0] * (2 * n)
-        for a, b in arcs:
-            if not (1 <= a <= 2 * n and 1 <= b <= 2 * n):
-                raise ValueError(f"arc {a}-{b} leaves 1..{2 * n}")
-            if pairs[a - 1] or pairs[b - 1]:
-                raise ValueError(f"arc {a}-{b} reuses a matched point")
-            pairs[a - 1] = b
-            pairs[b - 1] = a
         return cls(n, tuple(pairs))
 
     @classmethod
@@ -145,8 +122,12 @@ def _arc_sets(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=None)
 def _matchings(n: int) -> tuple[Matching, ...]:
-    all_points = tuple(range(1, 2 * n + 1))
-    ms = [Matching.from_arcs(n, arcs) for arcs in _arc_sets(all_points)]
+    ms = []
+    for arcs in _arc_sets(tuple(range(1, 2 * n + 1))):
+        pairs = [0] * (2 * n)
+        for a, b in arcs:
+            pairs[a - 1], pairs[b - 1] = b, a
+        ms.append(Matching(n, tuple(pairs)))
     return tuple(sorted(ms, key=Matching.encode))
 
 

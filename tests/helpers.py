@@ -3,7 +3,10 @@ surgery, random tangles.
 
 Everything here is deliberately independent of the library internals it is
 used to check.  ``generators`` lists every decorated resolution with its own
-union-find, sharing no code with the library's state sum or ``resolve``.
+union-find, sharing no code with the library's state sum or ``resolve``, and
+``cleaved_basis`` counts circles with ``_cut_circles``, sharing none with
+``basis_keys`` and ``basis_count``.  ``tangle_text`` writes the file format
+that ``parse_tangle`` reads.
 ``glue`` and ``smooth_crossing`` rebuild diagrams by edge relabeling alone,
 so pairing and skein identities compare the library against plain
 combinatorics rather than against itself.
@@ -83,8 +86,10 @@ def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
     for p in sorted(t.boundary):
         ends.setdefault(_find(parent, t.boundary[p]), []).append(p)
     roots = {_find(parent, e) for e in parent}
-    lam = Matching.from_arcs(t.endpoints // 2, ends.values())
-    return len(roots - ends.keys()) + t.loops, lam
+    pairs = [0] * t.endpoints
+    for a, b in ends.values():
+        pairs[a - 1], pairs[b - 1] = b, a
+    return len(roots - ends.keys()) + t.loops, Matching(t.endpoints // 2, tuple(pairs))
 
 
 def _cut_circles(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], ...]:
@@ -95,12 +100,27 @@ def _cut_circles(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], 
     """
     parent: dict[int, int] = {}
     for m in (inside, outside):
-        for a, b in m.arcs():
+        for a, b in enumerate(m.pairs, start=1):
             parent[_find(parent, a)] = _find(parent, b)
     classes: dict[int, list[int]] = {}
     for p in sorted(parent):
         classes.setdefault(_find(parent, p), []).append(p)
     return tuple(sorted(tuple(c) for c in classes.values()))
+
+
+def cleaved_basis(n: int) -> list[CleavedGen]:
+    """Every decorated cleaved link on 2n points, in basis order.
+
+    Ordered by inside encoding, then outside encoding, then decorations
+    with + before -.  The counts for n = 0..3 are 1, 2, 12 and 104.
+    """
+    matchings = enumerate_matchings(n)
+    return [
+        CleavedGen(inside, outside, decs)
+        for inside in matchings
+        for outside in matchings
+        for decs in product((1, -1), repeat=len(_cut_circles(inside, outside)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -160,6 +180,17 @@ def exhaustive_vector(t: TangleDiagram) -> DecatVector:
         e2 = int(2 * g.i)
         terms[e2] = terms.get(e2, 0) + (-1 if g.h % 2 else 1)
     return DecatVector(t.endpoints // 2, {b: HalfLaurent(terms) for b, terms in acc.items()})
+
+
+def tangle_text(t: TangleDiagram) -> str:
+    """The diagram in the tangle file format, which ``parse_tangle`` reads."""
+    lines = [f"tangle {t.name}", f"side {t.side}", f"endpoints {t.endpoints}"]
+    for cr in t.crossings:
+        lines.append("cross {} {} {} {} {}".format("+" if cr.sign > 0 else "-", *cr.slots))
+    if t.loops:
+        lines.append(f"loop {t.loops}")
+    lines += [f"boundary {p} {e}" for p, e in sorted(t.boundary.items())]
+    return "\n".join(lines) + "\n"
 
 
 def with_extra_loop(t: TangleDiagram) -> TangleDiagram:

@@ -6,16 +6,17 @@ import contextlib
 import io
 import json
 import re
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglejones import cleaved, cli, decat, diagram, enumerate_cleaved, halfpoly, mutation, planar
+from tanglejones import cleaved, cli, decat, diagram, halfpoly, mutation, planar
 from tanglejones.cli import ParseError, main, parse_tangle
 
-from .helpers import corpus_names, corpus_path, corpus_tangle
+from .helpers import cleaved_basis, corpus_names, corpus_path, corpus_tangle
 
 T_LEFT = str(corpus_path("t_left"))
 T_RIGHT = str(corpus_path("t_right"))
@@ -108,7 +109,7 @@ def test_basis_json(capsys):
 
 @pytest.mark.parametrize("n", range(6))
 def test_streamed_basis_matches_the_generators(capsys, n):
-    keys = [g.key() for g in enumerate_cleaved(n)]
+    keys = [g.key() for g in cleaved_basis(n)]
     code, out, err = run(capsys, "basis", str(n))
     assert (code, err) == (0, "")
     assert out == "\n".join(keys) + f"\ncount: {len(keys)}\n"
@@ -252,6 +253,21 @@ def test_nonplanar_code_is_rejected(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert "not planar" in err
+
+
+@pytest.mark.parametrize("verb", ["jones", "bracket", "decat"])
+def test_huge_loop_count_is_rejected_at_once(tmp_path, capsys, verb):
+    # the state sum would expand (q + q^(-1))^loops and never return
+    header = "tangle x\nside inside\nendpoints 0\n"
+    huge = write(tmp_path, header + "loop 99999999999999999999\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, verb, huge)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: {huge}: loop count 99999999999999999999 exceeds the limit of 1000\n"
+    code, out, err = run(capsys, verb, write(tmp_path, header + "loop 1000\n"))
+    assert (code, err) == (0, "")
+    assert out
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from tanglejones import (
     TangleDiagram,
     crossing_counts,
     resolve,
-    serialize,
     validate,
 )
 from tanglejones.cli import parse_tangle
@@ -28,6 +27,7 @@ from .helpers import (
     corpus_tangle,
     joined_edges,
     random_strand_tangle,
+    tangle_text,
     with_extra_loop,
 )
 
@@ -45,6 +45,8 @@ def test_validate_reports_each_defect():
         TangleDiagram("x", "inside", 3, (), 0, {})
     with pytest.raises(DiagramError, match="loop count must be nonnegative, got -1"):
         TangleDiagram("x", "inside", 0, (), -1, {})
+    with pytest.raises(DiagramError, match="^loop count 1001 exceeds the limit of 1000$"):
+        TangleDiagram("x", "inside", 0, (), 1001, {})
     # edge 1 appears once, edge 2 three times
     with pytest.raises(DiagramError, match="^edge 1 has 1 ends, .*; edge 2 has 3 ends, "):
         TangleDiagram("x", "inside", 2, (Crossing(1, (1, 2, 2, 2)),), 0, {1: 3, 2: 3})
@@ -118,7 +120,7 @@ def test_nonplanar_boundary_cannot_be_built():
 def test_serialize_parse_round_trip():
     for name in corpus_names():
         t = corpus_tangle(name)
-        assert parse_tangle(serialize(t)) == t
+        assert parse_tangle(tangle_text(t)) == t
 
 
 def test_every_corpus_resolution_is_planar():

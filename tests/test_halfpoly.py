@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tanglejones import ONE, ZERO, HalfLaurent, monomial, parse, render
+from tanglejones import ONE, ZERO, HalfLaurent, parse
 
 polys = st.builds(
     HalfLaurent,
@@ -24,38 +22,25 @@ def test_zero_and_one():
     assert HalfLaurent({3: 0}) == ZERO
 
 
-def test_monomial_signs_and_exponents():
-    assert monomial(0, 0) == ONE
-    assert monomial(1, 0) == -ONE
-    assert monomial(2, 3) == HalfLaurent({6: 1})
-    assert monomial(1, Fraction(5, 2)) == HalfLaurent({5: -1})
-    assert monomial(0, Fraction(-1, 2)) == HalfLaurent({-1: 1})
-    with pytest.raises(ValueError):
-        monomial(0, Fraction(1, 3))
-
-
 def test_coefficient_lookup():
     a = HalfLaurent({4: 2, -1: -3})
-    assert a.coefficient(4) == 2
-    assert a.coefficient(-1) == -3
-    assert a.coefficient(0) == 0
     assert a.support() == {4, -1}
     assert a.sorted_terms() == ((4, 2), (-1, -3))
 
 
 def test_render_grammar():
-    assert render(ZERO) == "0"
-    assert render(ONE) == "1"
-    assert render(HalfLaurent({2: 1})) == "q"
-    assert render(HalfLaurent({6: 1})) == "q^3"
-    assert render(HalfLaurent({-2: 1})) == "q^(-1)"
-    assert render(HalfLaurent({3: 1})) == "q^(3/2)"
-    assert render(HalfLaurent({-3: 1})) == "q^(-3/2)"
-    assert render(HalfLaurent({4: 2})) == "2*q^2"
-    assert render(HalfLaurent({0: -5})) == "-5"
-    assert render(HalfLaurent({2: 1, 0: 1, -2: -1})) == "q + 1 - q^(-1)"
-    assert render(HalfLaurent({12: 1, 8: 1, 4: 1, 0: 1})) == "q^6 + q^4 + q^2 + 1"
-    assert render(HalfLaurent({1: 1, -1: 2})) == "q^(1/2) + 2*q^(-1/2)"
+    assert ZERO.render() == "0"
+    assert ONE.render() == "1"
+    assert HalfLaurent({2: 1}).render() == "q"
+    assert HalfLaurent({6: 1}).render() == "q^3"
+    assert HalfLaurent({-2: 1}).render() == "q^(-1)"
+    assert HalfLaurent({3: 1}).render() == "q^(3/2)"
+    assert HalfLaurent({-3: 1}).render() == "q^(-3/2)"
+    assert HalfLaurent({4: 2}).render() == "2*q^2"
+    assert HalfLaurent({0: -5}).render() == "-5"
+    assert HalfLaurent({2: 1, 0: 1, -2: -1}).render() == "q + 1 - q^(-1)"
+    assert HalfLaurent({12: 1, 8: 1, 4: 1, 0: 1}).render() == "q^6 + q^4 + q^2 + 1"
+    assert HalfLaurent({1: 1, -1: 2}).render() == "q^(1/2) + 2*q^(-1/2)"
 
 
 def test_parse_grammar():
@@ -119,4 +104,4 @@ def test_multiplicative_identity(a):
 
 @given(polys)
 def test_render_parse_round_trip(a):
-    assert parse(render(a)) == a
+    assert parse(a.render()) == a

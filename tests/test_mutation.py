@@ -14,7 +14,6 @@ from tanglejones import (
     Matching,
     MutationReport,
     circles_of,
-    enumerate_cleaved,
     mutation_check,
     rotate_gen,
     rotate_matching,
@@ -22,11 +21,11 @@ from tanglejones import (
     rotate_vector,
 )
 
-from .helpers import corpus_names, corpus_tangle, decat_of
+from .helpers import cleaved_basis, corpus_names, corpus_tangle, decat_of
 
-GENS2 = {g.key(): g for g in enumerate_cleaved(2)}
+GENS2 = {g.key(): g for g in cleaved_basis(2)}
 
-gens_n123 = st.integers(1, 3).flatmap(lambda n: st.sampled_from(enumerate_cleaved(n)))
+gens_n123 = st.integers(1, 3).flatmap(lambda n: st.sampled_from(cleaved_basis(n)))
 
 
 def test_rotation_transports_decorations():
@@ -52,7 +51,7 @@ def test_full_turn_fixes_generators(g):
 @pytest.mark.parametrize("n", range(4))
 def test_rotations_compose(n):
     steps = range(-2 * n, 2 * n + 1)
-    for g in enumerate_cleaved(n):
+    for g in cleaved_basis(n):
         for a in steps:
             once = rotate_gen(g, a)
             for b in steps:

@@ -25,24 +25,19 @@ def test_counts_are_catalan():
 def test_empty_matching():
     m = Matching.empty()
     assert m.n == 0
-    assert m.arcs() == ()
+    assert m.pairs == ()
     assert m.encode() == ()
     assert str(m) == ""
 
 
 def test_decode_encode():
     m = Matching.decode((4, 2))
-    assert m.partner(1) == 4
-    assert m.partner(4) == 1
-    assert m.partner(2) == 3
-    assert m.arcs() == ((1, 4), (3, 2))
+    assert m.pairs[1 - 1] == 4
+    assert m.pairs[4 - 1] == 1
+    assert m.pairs[2 - 1] == 3
+    assert m.pairs == (4, 3, 2, 1)
     assert str(m) == "4,2"
     assert Matching.decode(m.encode()) == m
-
-
-def test_from_arcs():
-    assert Matching.from_arcs(2, [(1, 2), (3, 4)]) == Matching.decode((2, 4))
-    assert Matching.from_arcs(2, [(4, 1), (2, 3)]) == Matching.decode((4, 2))
 
 
 def test_invalid_matchings_rejected():
@@ -52,12 +47,12 @@ def test_invalid_matchings_rejected():
         Matching.decode((2, 6))  # 6 is outside 2..4
     with pytest.raises(ValueError):
         Matching.decode((4, 4))  # reuses 4
-    with pytest.raises(ValueError):
-        Matching.from_arcs(2, [(1, 3), (2, 4)])  # parity broken
-    with pytest.raises(ValueError):
-        Matching.from_arcs(3, [(1, 4), (3, 6), (5, 2)])  # 1-4 and 3-6 interleave
+    with pytest.raises(ValueError, match="same parity"):
+        Matching(2, (3, 4, 1, 2))  # arcs 1-3 and 2-4 break parity
+    with pytest.raises(ValueError, match="interleave"):
+        Matching(3, (4, 5, 6, 1, 2, 3))  # arcs 1-4, 3-6, 5-2: 1-4 and 3-6 interleave
     # nesting is fine
-    assert Matching.from_arcs(3, [(1, 4), (2, 3), (5, 6)]).encode() == (4, 2, 6)
+    assert Matching(3, (4, 3, 2, 1, 6, 5)).encode() == (4, 2, 6)
 
 
 def test_rotate_point_wraps():
@@ -71,15 +66,15 @@ def test_rotate_point_wraps():
 @given(small_matchings)
 def test_partner_is_fixed_point_free_involution(m):
     for p in range(1, 2 * m.n + 1):
-        q = m.partner(p)
+        q = m.pairs[p - 1]
         assert q != p
-        assert m.partner(q) == p
+        assert m.pairs[q - 1] == p
         assert (p + q) % 2 == 1
 
 
 @given(small_matchings)
 def test_arcs_never_interleave(m):
-    spans = [tuple(sorted(arc)) for arc in m.arcs()]
+    spans = [(p, q) for p, q in enumerate(m.pairs, start=1) if p < q]
     for lo1, hi1 in spans:
         for lo2, hi2 in spans:
             if (lo1, hi1) != (lo2, hi2):
@@ -92,9 +87,8 @@ def test_rotation_is_a_matching_bijection(m, steps):
     assert rotated.n == m.n
     assert rotate_matching(rotated, -steps) == m
     for p in range(1, 2 * m.n + 1):
-        assert rotate_point(m.partner(p), steps, m.n) == rotated.partner(
-            rotate_point(p, steps, m.n)
-        )
+        image = rotate_point(p, steps, m.n)
+        assert rotate_point(m.pairs[p - 1], steps, m.n) == rotated.pairs[image - 1]
 
 
 @given(small_matchings)
@@ -117,7 +111,6 @@ def _fresh_copies(m):
     return [
         Matching(m.n, m.pairs),
         Matching.decode(m.encode()),
-        Matching.from_arcs(m.n, m.arcs()),
         *(rotate_matching(m, steps) for steps in range(1, 2 * m.n + 1)),
     ]
 
@@ -125,7 +118,7 @@ def _fresh_copies(m):
 def test_encoding_and_text_form_follow_the_arcs():
     for m in SMALL_MATCHINGS:
         for built in [m, *_fresh_copies(m)]:
-            assert built.encode() == tuple(even for _, even in built.arcs())
+            assert built.encode() == tuple(built.pairs[p - 1] for p in range(1, 2 * built.n, 2))
             text = ",".join(map(str, built.encode()))
             assert str(built) == text
             assert str(built) == text
