@@ -49,7 +49,14 @@ from operator import itemgetter
 from typing import Mapping
 
 from .cleaved import CleavedGen, circles_of
-from .diagram import DiagramError, TangleDiagram, _join, _partners, crossing_counts
+from .diagram import (
+    _MAX_STATES,
+    DiagramError,
+    TangleDiagram,
+    _join,
+    _partners,
+    crossing_counts,
+)
 # Unused here: perfbench/trace.py wraps decat.resolve and its self-test reads it.
 from .diagram import resolve  # noqa: F401
 from .halfpoly import ZERO, HalfLaurent
@@ -134,20 +141,32 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     boundary generator; it is counted there under the pair (number of
     1-smoothings, number of free circles), which is all its contribution
     depends on once the free circles are summed over their decorations.
+    A diagram whose 2^crossings x Catalan(n) resolutions and far matchings
+    exceed ``_MAX_STATES`` raises :class:`DiagramError` before any is
+    visited.
 
-    Each state is joined on the compiled arrays into len(labels) - merges
-    components.  n of them are strands, one per pair of boundary ends, so
-    the rest, with the loops, are its free circles.  Its matching is looked
-    up by partner tuple, so at most Catalan(n) matchings are built per call.
+    Two ``product`` walks run in step: one yields each state's bits, the
+    other its chosen smoothing for every crossing, which ``_join`` unites
+    into len(labels) - merges components.  n of them are strands, one per
+    pair of boundary ends, so the rest, with the loops, are its free
+    circles.  ``_partners`` walks each boundary end to its root, and the
+    matching is looked up by partner tuple, so at most Catalan(n)
+    matchings are built per call.
     """
     labels, smoothings, ends = t._compiled
     n = t.endpoints // 2
+    visits = 2 ** len(smoothings) * (comb(2 * n, n) // (n + 1))
+    if visits > _MAX_STATES:
+        raise DiagramError(
+            f"the state sum visits 2^{len(smoothings)} x Catalan({n}) = {visits} states, "
+            f"over the limit of {_MAX_STATES}"
+        )
     free0 = len(labels) - n + t.loops
     far_matchings = enumerate_matchings(n)
     lams: dict[tuple[int, ...], Matching] = {}
     counts: dict[CleavedGen, dict[tuple[int, int], int]] = {}
-    for rho in product((0, 1), repeat=len(smoothings)):
-        parent, merges = _join(smoothings, len(labels), rho)
+    for rho, choice in zip(product((0, 1), repeat=len(smoothings)), product(*smoothings)):
+        parent, merges = _join(choice, len(labels))
         how = (sum(rho), free0 - merges)
         partners = _partners(parent, ends)
         lam = lams.get(partners)

@@ -24,9 +24,13 @@ A state sum resolves one diagram 2^c times, so a valid diagram also
 compiles itself once, on construction, into flat index arrays: its edge
 labels numbered 0..E-1 in increasing order, each crossing's two smoothings
 as index 4-tuples, and the boundary points with the index of their edge.
-One union-find on those arrays joins the edges of a state; the state sum
-counts states with it directly, and :func:`resolve` is the readable view
-of one state, with its circles and matching, built on the same union-find.
+One union-find on those arrays joins the edges of a state from one chosen
+smoothing per crossing; the state sum takes those choices from
+``itertools.product`` over the smoothings and counts states directly.  No
+pass compresses the union-find: each index that is read is walked to its
+root, the boundary ends by the state sum and every index by
+:func:`resolve`, the readable view of one state, with its circles and
+matching, built on the same union-find.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ __all__ = [
 _LISTED_POINTS = 5
 # Each loop multiplies every state by q + q^(-1); far more never finish.
 _MAX_LOOPS = 1000
+# The state sum visits 2^crossings x Catalan(n) resolutions and far
+# matchings, at several microseconds each: 2^24 take minutes.
+_MAX_STATES = 2**24
 
 
 class DiagramError(ValueError):
@@ -201,18 +208,18 @@ def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
     ports = [e for cr in t.crossings for e in cr.slots]
     ports.extend(t.boundary[p] for p in range(1, t.endpoints + 1))
     vertices = crossings + (1 if t.endpoints else 0)
-    parent = {v: v for v in range(vertices)}
+    parent = list(range(vertices))
     other = [0] * len(ports)
     first_end: dict[int, int] = {}
     for port, e in enumerate(ports):
         if e in first_end:
             mate = first_end.pop(e)
             other[port], other[mate] = mate, port
-            root = _find(parent, min(port // 4, crossings))
-            parent[root] = _find(parent, min(mate // 4, crossings))
+            root = _root(parent, min(port // 4, crossings))
+            parent[root] = _root(parent, min(mate // 4, crossings))
         else:
             first_end[e] = port
-    pieces = sum(1 for v, up in parent.items() if v == up)
+    pieces = sum(1 for v, up in enumerate(parent) if v == up)
 
     turn = [port - port % 4 + (port + 1) % 4 for port in range(base)] + [0] * t.endpoints
     points = list(range(base, len(ports)))
@@ -250,65 +257,66 @@ def crossing_counts(t: TangleDiagram) -> tuple[int, int]:
     return plus, len(t.crossings) - plus
 
 
-def _find(parent: dict[int, int], x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
+def _root(parent: list[int], x: int) -> int:
+    """The root of index x in a list union-find."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
 
-def _join(
-    smoothings: tuple[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ...],
-    size: int,
-    bits: Iterable[int],
-) -> tuple[list[int], int]:
-    """(root of each edge index, number of merges) of one resolution.
+def _join(choice: Iterable[tuple[int, int, int, int]], size: int) -> tuple[list[int], int]:
+    """(parent of each edge index, number of merges) of one resolution.
 
-    A list union-find over ``size`` edge indices links the larger root
-    under the smaller, so each root is its component's smallest index and
-    the components number ``size`` minus the merges.  A bit other than 0
-    or 1 raises :class:`ValueError`.
+    ``choice`` holds one chosen smoothing per crossing, an index 4-tuple
+    (w, x, y, z) that joins w to x and y to z; the state sum draws it from
+    ``itertools.product`` over the compiled smoothings, and :func:`resolve`
+    builds it from bits.  A list union-find over ``size`` edge indices does
+    both unions inline, with the walk of :func:`_root`, and links the
+    larger root under the smaller, so each root is its component's
+    smallest index and the components number ``size`` minus the merges.
+    There is no ascending pass: a caller walks each index it reads to its
+    root.
     """
     parent = list(range(size))
     merges = 0
-    for (zero, one), bit in zip(smoothings, bits):
-        if bit == 0:
-            joins = zero
-        elif bit == 1:
-            joins = one
-        else:
-            raise ValueError("resolution bits must be 0 or 1")
-        for k in (0, 2):
-            x, y = joins[k], joins[k + 1]
-            while parent[x] != x:
-                x = parent[x]
-            while parent[y] != y:
-                y = parent[y]
-            if x < y:
-                parent[y] = x
-                merges += 1
-            elif y < x:
-                parent[x] = y
-                merges += 1
-    # Every parent index is at most its child's, so one ascending pass
-    # leaves each entry at its root.
-    for i, up in enumerate(parent):
-        parent[i] = parent[up]
+    for w, x, y, z in choice:
+        while parent[w] != w:
+            w = parent[w]
+        while parent[x] != x:
+            x = parent[x]
+        if w < x:
+            parent[x] = w
+            merges += 1
+        elif x < w:
+            parent[w] = x
+            merges += 1
+        while parent[y] != y:
+            y = parent[y]
+        while parent[z] != z:
+            z = parent[z]
+        if y < z:
+            parent[z] = y
+            merges += 1
+        elif z < y:
+            parent[y] = z
+            merges += 1
     return parent, merges
 
 
 def _partners(parent: list[int], ends: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The partner of each boundary point 1..2n: the other end of its strand."""
+    """The partner of each boundary point 1..2n: the other end of its strand.
+
+    Each end is walked to its root in ``parent``, as :func:`_join` left it.
+    """
     pairs = [0] * len(ends)
     first: dict[int, int] = {}
     for p, i in ends:
-        mate = first.pop(parent[i], 0)
+        root = _root(parent, i)
+        mate = first.pop(root, 0)
         if mate:
             pairs[p - 1], pairs[mate - 1] = mate, p
         else:
-            first[parent[i]] = p
+            first[root] = p
     return tuple(pairs)
 
 
@@ -317,12 +325,13 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
 
     ``rho`` is any iterable of one 0/1 bit per crossing; anything else
     raises :class:`ValueError`.  This is the readable view of one state,
-    for tests and callers that want its circles; the state sum counts
-    states on the same union-find (``_join``) and builds no circles.  Each
-    root is its component's smallest index, so the free circles come out
-    ordered by smallest label.  The diagram is valid by construction, so
-    every component is a closed loop or a strand with two boundary ends,
-    and the planarity check makes the strands' matching non-crossing.
+    for tests and callers that want its circles: the bits choose one
+    smoothing per crossing, ``_join`` unites them as it does for the state
+    sum, and every index is then walked to its root.  Each root is its
+    component's smallest index, so the free circles come out ordered by
+    smallest label.  The diagram is valid by construction, so every
+    component is a closed loop or a strand with two boundary ends, and the
+    planarity check makes the strands' matching non-crossing.
 
     The Hopf link has two free circles when both crossings smooth alike
     and one otherwise:
@@ -336,13 +345,15 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     bits = tuple(rho)
     if len(bits) != len(smoothings):
         raise ValueError(f"expected {len(smoothings)} resolution bits, got {len(bits)}")
-    parent, _ = _join(smoothings, len(labels), bits)
-    on_boundary = {parent[i] for _, i in ends}
+    if any(bit not in (0, 1) for bit in bits):
+        raise ValueError("resolution bits must be 0 or 1")
+    parent, _ = _join([pair[bit == 1] for pair, bit in zip(smoothings, bits)], len(labels))
+    roots = [_root(parent, i) for i in range(len(labels))]
+    on_boundary = {roots[i] for _, i in ends}
     circles: dict[int, list[int]] = {}
-    for label, root in zip(labels, parent):
+    for label, root in zip(labels, roots):
         if root not in on_boundary:
             circles.setdefault(root, []).append(label)
     free = [frozenset(edges) for edges in circles.values()]
     free.extend(frozenset() for _ in range(t.loops))
     return ResolvedState(tuple(free), Matching(t.endpoints // 2, _partners(parent, ends)))
-

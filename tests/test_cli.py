@@ -13,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglejones import cleaved, cli, decat, diagram, halfpoly, mutation, planar
+from tanglejones import TangleDiagram, cleaved, cli, decat, diagram, halfpoly, mutation, planar
 from tanglejones.cli import ParseError, main, parse_tangle
 
-from .helpers import cleaved_basis, corpus_names, corpus_path, corpus_tangle
+from .helpers import (
+    braid,
+    braid_closure,
+    cleaved_basis,
+    corpus_names,
+    corpus_path,
+    corpus_tangle,
+    tangle_text,
+)
 
 T_LEFT = str(corpus_path("t_left"))
 T_RIGHT = str(corpus_path("t_right"))
@@ -268,6 +276,43 @@ def test_huge_loop_count_is_rejected_at_once(tmp_path, capsys, verb):
     code, out, err = run(capsys, verb, write(tmp_path, header + "loop 1000\n"))
     assert (code, err) == (0, "")
     assert out
+
+
+def test_state_sums_over_the_size_limit_are_rejected_at_once(tmp_path, capsys):
+    # 2^40 resolutions, or Catalan(20) far matchings, would take hours
+    chain = braid_closure("chain", 2, [(0, 1)] * 40)
+    crossings, bottom, top = braid(2, [(0, 1)] * 40, "inside")
+    twist_ends = dict(enumerate(bottom + top[::-1], start=1))
+    arcs = {p: (p + 1) // 2 for p in range(1, 41)}
+    files = {}
+    for t in (
+        chain,
+        TangleDiagram("twist", "inside", 4, tuple(crossings), 0, twist_ends),
+        TangleDiagram("arcs_in", "inside", 40, (), 0, arcs),
+        TangleDiagram("arcs_out", "outside", 40, (), 0, arcs),
+    ):
+        files[t.name] = tmp_path / f"{t.name}.tangle"
+        files[t.name].write_text(tangle_text(t))
+    over = {"chain": (40, 0, 2**40), "twist": (40, 2, 2**41), "arcs_in": (0, 20, 6564120420)}
+    for verb, *names in [
+        ("jones", "chain"),
+        ("bracket", "chain"),
+        ("decat", "chain"),
+        ("mutate-check", "twist"),
+        ("decat", "arcs_in"),
+        ("pair", "arcs_in", "arcs_out"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, *(str(files[name]) for name in names))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, ""), (verb, names)
+        c, n, states = over[names[0]]
+        assert err == (
+            f"error: the state sum visits 2^{c} x Catalan({n}) = {states} states, "
+            f"over the limit of {2**24}\n"
+        )
+    # only the state sum is refused: single resolutions of the chain still trace
+    assert [len(diagram.resolve(chain, (bit,) * 40).free_circles) for bit in (0, 1)] == [2, 40]
 
 
 @pytest.mark.parametrize(

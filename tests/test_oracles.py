@@ -2,7 +2,8 @@
 
 Jones's formula for torus knots gives the Jones polynomial of every braid
 closure (sigma_1 ... sigma_(p-1))^q in closed form, the determinant of a
-knot's colouring matrix gives |V(-1)|, and the exhaustive enumeration of
+knot's colouring matrix gives |V(-1)|, a mirror image inverts q, a
+connected sum multiplies, and the exhaustive enumeration of
 ``tests/helpers.py`` checks the state sum on braid tangles with up to 8
 endpoints, where the induced matchings are the least regular.
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from tanglejones import TangleDiagram, decat_vector, jones
+from tanglejones import Crossing, TangleDiagram, decat_vector, jones
 
 from .helpers import (
     _find,
@@ -163,6 +165,12 @@ def _one_cycle_braid_closures(rng: random.Random, count: int) -> list[TangleDiag
     return out
 
 
+def _generated_knots() -> list[TangleDiagram]:
+    """The ten torus knots and six seeded one-cycle braid closures."""
+    knots = [torus_knot(p, q) for p, q in TORUS_KNOTS]
+    return knots + _one_cycle_braid_closures(random.Random(SEED + 2), 6)
+
+
 def test_colouring_determinant_of_known_knots():
     # det T(p, q) is 1 for p, q both odd, else the odd one of the two
     for p, q in TORUS_KNOTS:
@@ -184,8 +192,7 @@ def test_determinant_is_jones_at_minus_one():
     mirror, as from swapping every crossing's two smoothings, has the same
     |V(-1)|; the torus-knot test catches both.
     """
-    knots = [torus_knot(p, q) for p, q in TORUS_KNOTS]
-    knots += _one_cycle_braid_closures(random.Random(SEED + 2), 6)
+    knots = _generated_knots()
     closed = (corpus_tangle(name) for name in corpus_names())
     knots += [t for t in closed if t.endpoints == 0 and _components(t) == 1]
     assert all(_components(t) == 1 for t in knots)
@@ -203,3 +210,66 @@ def test_state_sum_matches_the_oracle_on_braid_tangles():
     }
     for t in tangles:
         assert decat_vector(t) == exhaustive_vector(t), (t.name, t.side)
+
+
+def _terms(t: TangleDiagram) -> dict[int, int]:
+    """``jones`` as a map from doubled exponent to coefficient."""
+    return dict(jones(t).sorted_terms())
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: Counter = Counter()
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] += ca * cb
+    return {e2: c for e2, c in out.items() if c}
+
+
+def mirror(t: TangleDiagram) -> TangleDiagram:
+    """The mirror image: every crossing swaps its over- and under-strand,
+    so its sign flips and its slots (a, b, c, d) become (b, c, d, a)."""
+    crossings = tuple(Crossing(-cr.sign, cr.slots[1:] + cr.slots[:1]) for cr in t.crossings)
+    return TangleDiagram(f"{t.name}*", t.side, t.endpoints, crossings, t.loops, dict(t.boundary))
+
+
+def connected_sum(k1: TangleDiagram, k2: TangleDiagram) -> TangleDiagram:
+    """K1 # K2: cut one edge of each knot and reconnect the ends crosswise.
+
+    K2's labels move above K1's.  The second end of K1's first edge takes
+    K2's cut label and the second end of K2's cut edge takes K1's, so each
+    new edge runs from one knot to the other.  Construction runs the
+    planarity check on the result.
+    """
+    shift = max(k1.edge_labels())
+    moved = [Crossing(cr.sign, tuple(e + shift for e in cr.slots)) for cr in k2.crossings]
+    e1, e2 = k1.crossings[0].slots[0], moved[0].slots[0]
+    crossings, seen = [], set()
+    for cr in list(k1.crossings) + moved:
+        slots = []
+        for e in cr.slots:
+            if e in (e1, e2) and e in seen:
+                slots.append(e1 + e2 - e)
+            else:
+                seen.add(e)
+                slots.append(e)
+        crossings.append(Crossing(cr.sign, tuple(slots)))
+    return TangleDiagram(f"{k1.name}#{k2.name}", "inside", 0, tuple(crossings))
+
+
+def test_mirror_inverts_q():
+    """Flipping every sign and rotating every crossing's slots by one maps
+    the unnormalized Jones polynomial J(q) to J(1/q)."""
+    for k in _generated_knots():
+        assert _terms(mirror(k)) == {-e2: c for e2, c in _terms(k).items()}, k.name
+
+
+def test_connected_sum_multiplies():
+    """J(K1 # K2) (q + 1/q) = J(K1) J(K2) for the unnormalized J, on every
+    pair of generated knots with at most 14 crossings in all."""
+    knots = _generated_knots()
+    terms = {k.name: _terms(k) for k in knots}
+    pairs = [(a, b) for a, b in combinations(knots, 2) if len(a.crossings) + len(b.crossings) <= 14]
+    assert len(pairs) == 26
+    for k1, k2 in pairs:
+        total = _times(_terms(connected_sum(k1, k2)), {2: 1, -2: 1})
+        assert total == _times(terms[k1.name], terms[k2.name]), (k1.name, k2.name)
