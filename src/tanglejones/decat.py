@@ -23,12 +23,17 @@ One engine walks the resolution cube.  A free circle summed over its two
 decorations contributes q + q^(-1), so a resolution needs only three
 facts: its number of 1-smoothings, its number of free circles and its
 boundary matching.  Each state is counted on the index arrays the diagram
-compiled when it was built, by the union-find behind
-:func:`~tanglejones.diagram.resolve`, without building its circles; the
-counts then expand into polynomials with binomial coefficients.
+compiled when it was built, with a list union-find and without building its
+circles.  The cube is walked depth first, one crossing per level, so states
+that share their first j smoothings share the unions of those j crossings:
+each level joins its crossing's two pairs once for every state below it.
+The 2^(c+1) - 2 branches of the walk make about four unions per state, where
+joining each state from scratch takes two per crossing.  The counts then
+expand into polynomials with binomial coefficients.
 ``decat_vector`` and ``bracket`` both read that engine.  The only other
-state sum is the test suite's oracle, which lists every decorated
-resolution one by one.
+state sums are the test suite's oracles, which list every decorated
+resolution one by one or rebuild the counts from
+:func:`~tanglejones.diagram.resolve`.
 
 The positive Hopf link, glued from two one-crossing tangles:
 
@@ -53,7 +58,6 @@ from .diagram import (
     _MAX_STATES,
     DiagramError,
     TangleDiagram,
-    _join,
     _partners,
     crossing_counts,
 )
@@ -141,33 +145,72 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     boundary generator; it is counted there under the pair (number of
     1-smoothings, number of free circles), which is all its contribution
     depends on once the free circles are summed over their decorations.
-    A diagram whose 2^crossings x Catalan(n) resolutions and far matchings
+    A diagram whose 2^crossings x Catalan(n) x 2^n decorated resolutions
     exceed ``_MAX_STATES`` raises :class:`DiagramError` before any is
-    visited.
+    visited: each of the Catalan(n) far matchings meets at most n cut
+    circles.
 
-    Two ``product`` walks run in step: one yields each state's bits, the
-    other its chosen smoothing for every crossing, which ``_join`` unites
-    into len(labels) - merges components.  n of them are strands, one per
-    pair of boundary ends, so the rest, with the loops, are its free
-    circles.  ``_partners`` walks each boundary end to its root, and the
-    matching is looked up by partner tuple, so at most Catalan(n)
-    matchings are built per call.
+    The cube is walked depth first over the compiled crossings in order,
+    0 before 1, so the states come in the order of
+    ``product((0, 1), repeat=crossings)``.  Each level copies its parent's
+    union-find for the 1-branch, reuses it for the 0-branch, and applies
+    that crossing's two unions once for every state below it, so states
+    that share their first j smoothings share the union work of those j
+    crossings.  A state's union-find has len(labels) - merges components;
+    n of them are strands, one per pair of boundary ends, so the rest,
+    with the loops, are its free circles.  ``_partners`` walks each
+    boundary end to its root, and the matching is looked up by partner
+    tuple, so at most Catalan(n) matchings are built per call.
     """
     labels, smoothings, ends = t._compiled
     n = t.endpoints // 2
-    visits = 2 ** len(smoothings) * (comb(2 * n, n) // (n + 1))
+    visits = 2 ** len(smoothings) * (comb(2 * n, n) // (n + 1)) * 2**n
     if visits > _MAX_STATES:
         raise DiagramError(
-            f"the state sum visits 2^{len(smoothings)} x Catalan({n}) = {visits} states, "
-            f"over the limit of {_MAX_STATES}"
+            f"the state sum visits 2^{len(smoothings)} x Catalan({n}) x 2^{n} = {visits} "
+            f"states, over the limit of {_MAX_STATES}"
         )
     free0 = len(labels) - n + t.loops
     far_matchings = enumerate_matchings(n)
     lams: dict[tuple[int, ...], Matching] = {}
     counts: dict[CleavedGen, dict[tuple[int, int], int]] = {}
-    for rho, choice in zip(product((0, 1), repeat=len(smoothings)), product(*smoothings)):
-        parent, merges = _join(choice, len(labels))
-        how = (sum(rho), free0 - merges)
+    depth = len(smoothings)
+    # (level, parent, merges, ones): the union-find once the first `level`
+    # crossings are smoothed, its merge count and its 1-smoothings
+    stack = [(0, list(range(len(labels))), 0, 0)]
+    while stack:
+        level, parent, merges, ones = stack.pop()
+        if level < depth:
+            pair = smoothings[level]
+            # the 1-branch copies the list before the 0-branch joins it in
+            # place; pushed first, the 1-branch is walked second
+            for bit in (1, 0):
+                child = parent[:] if bit else parent
+                w, x, y, z = pair[bit]
+                joined = merges
+                while child[w] != w:
+                    w = child[w]
+                while child[x] != x:
+                    x = child[x]
+                if w < x:
+                    child[x] = w
+                    joined += 1
+                elif x < w:
+                    child[w] = x
+                    joined += 1
+                while child[y] != y:
+                    y = child[y]
+                while child[z] != z:
+                    z = child[z]
+                if y < z:
+                    child[z] = y
+                    joined += 1
+                elif z < y:
+                    child[y] = z
+                    joined += 1
+                stack.append((level + 1, child, joined, ones + bit))
+            continue
+        how = (ones, free0 - merges)
         partners = _partners(parent, ends)
         lam = lams.get(partners)
         if lam is None:

@@ -24,13 +24,13 @@ A state sum resolves one diagram 2^c times, so a valid diagram also
 compiles itself once, on construction, into flat index arrays: its edge
 labels numbered 0..E-1 in increasing order, each crossing's two smoothings
 as index 4-tuples, and the boundary points with the index of their edge.
-One union-find on those arrays joins the edges of a state from one chosen
-smoothing per crossing; the state sum takes those choices from
-``itertools.product`` over the smoothings and counts states directly.  No
-pass compresses the union-find: each index that is read is walked to its
-root, the boundary ends by the state sum and every index by
+The state sum in :mod:`tanglejones.decat` walks the whole cube on those
+arrays with its own union-find, sharing work between states.
 :func:`resolve`, the readable view of one state, with its circles and
-matching, built on the same union-find.
+matching, joins one chosen smoothing per crossing with :func:`_join`.  No
+pass compresses either union-find: each index that is read is walked to
+its root, the boundary ends by :func:`_partners`, which both share, and
+every index by :func:`resolve`.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ __all__ = [
 _LISTED_POINTS = 5
 # Each loop multiplies every state by q + q^(-1); far more never finish.
 _MAX_LOOPS = 1000
-# The state sum visits 2^crossings x Catalan(n) resolutions and far
-# matchings, at several microseconds each: 2^24 take minutes.
+# The state sum visits up to 2^crossings x Catalan(n) x 2^n decorated
+# resolutions, each far matching meeting at most n cut circles, at a few
+# microseconds each: 2^24 take minutes.
 _MAX_STATES = 2**24
 
 
@@ -268,9 +269,8 @@ def _join(choice: Iterable[tuple[int, int, int, int]], size: int) -> tuple[list[
     """(parent of each edge index, number of merges) of one resolution.
 
     ``choice`` holds one chosen smoothing per crossing, an index 4-tuple
-    (w, x, y, z) that joins w to x and y to z; the state sum draws it from
-    ``itertools.product`` over the compiled smoothings, and :func:`resolve`
-    builds it from bits.  A list union-find over ``size`` edge indices does
+    (w, x, y, z) that joins w to x and y to z, which :func:`resolve` builds
+    from bits.  A list union-find over ``size`` edge indices does
     both unions inline, with the walk of :func:`_root`, and links the
     larger root under the smaller, so each root is its component's
     smallest index and the components number ``size`` minus the merges.
@@ -306,7 +306,7 @@ def _join(choice: Iterable[tuple[int, int, int, int]], size: int) -> tuple[list[
 def _partners(parent: list[int], ends: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The partner of each boundary point 1..2n: the other end of its strand.
 
-    Each end is walked to its root in ``parent``, as :func:`_join` left it.
+    Each end is walked to its root in ``parent``, as the union-find left it.
     """
     pairs = [0] * len(ends)
     first: dict[int, int] = {}
@@ -326,12 +326,12 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     ``rho`` is any iterable of one 0/1 bit per crossing; anything else
     raises :class:`ValueError`.  This is the readable view of one state,
     for tests and callers that want its circles: the bits choose one
-    smoothing per crossing, ``_join`` unites them as it does for the state
-    sum, and every index is then walked to its root.  Each root is its
-    component's smallest index, so the free circles come out ordered by
-    smallest label.  The diagram is valid by construction, so every
-    component is a closed loop or a strand with two boundary ends, and the
-    planarity check makes the strands' matching non-crossing.
+    smoothing per crossing, ``_join`` unites them, and every index is then
+    walked to its root.  Each root is its component's smallest index, so
+    the free circles come out ordered by smallest label.  The diagram is
+    valid by construction, so every component is a closed loop or a strand
+    with two boundary ends, and the planarity check makes the strands'
+    matching non-crossing.
 
     The Hopf link has two free circles when both crossings smooth alike
     and one otherwise:

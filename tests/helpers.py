@@ -330,8 +330,9 @@ def shuffled(t: TangleDiagram, rng: random.Random) -> TangleDiagram:
     return TangleDiagram(t.name, t.side, t.endpoints, tuple(crossings), t.loops, boundary)
 
 
-def random_braid_tangle(rng: random.Random) -> TangleDiagram:
-    """A random braid on 2-4 strands with 3-8 crossings, read as a tangle.
+def random_braid_tangle(rng: random.Random, most: int = 8) -> TangleDiagram:
+    """A random braid on 2-4 strands with 3 to ``most`` crossings, read as a
+    tangle.
 
     The side is drawn at random.  Points 1..k are the bottom ends from left
     to right and k+1..2k the top ends from right to left, counterclockwise
@@ -340,7 +341,7 @@ def random_braid_tangle(rng: random.Random) -> TangleDiagram:
     strands = rng.randint(2, 4)
     side = rng.choice(("inside", "outside"))
     word = [
-        (rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(3, 8))
+        (rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(3, most))
     ]
     crossings, bottom, top = braid(strands, word, side)
     boundary = dict(enumerate(bottom + top[::-1], start=1))

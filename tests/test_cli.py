@@ -279,28 +279,35 @@ def test_huge_loop_count_is_rejected_at_once(tmp_path, capsys, verb):
 
 
 def test_state_sums_over_the_size_limit_are_rejected_at_once(tmp_path, capsys):
-    # 2^40 resolutions, or Catalan(20) far matchings, would take hours
+    # 2^40 resolutions, Catalan(20) far matchings, or the 2^10 cut-circle
+    # decorations of 10 parallel arcs would take hours or gigabytes
     chain = braid_closure("chain", 2, [(0, 1)] * 40)
     crossings, bottom, top = braid(2, [(0, 1)] * 40, "inside")
     twist_ends = dict(enumerate(bottom + top[::-1], start=1))
-    arcs = {p: (p + 1) // 2 for p in range(1, 41)}
+    arcs = [
+        TangleDiagram(f"arcs{k}_{side}", side, k, (), 0, {p: (p + 1) // 2 for p in range(1, k + 1)})
+        for k in (40, 20)
+        for side in ("inside", "outside")
+    ]
     files = {}
-    for t in (
-        chain,
-        TangleDiagram("twist", "inside", 4, tuple(crossings), 0, twist_ends),
-        TangleDiagram("arcs_in", "inside", 40, (), 0, arcs),
-        TangleDiagram("arcs_out", "outside", 40, (), 0, arcs),
-    ):
+    for t in (chain, TangleDiagram("twist", "inside", 4, tuple(crossings), 0, twist_ends), *arcs):
         files[t.name] = tmp_path / f"{t.name}.tangle"
         files[t.name].write_text(tangle_text(t))
-    over = {"chain": (40, 0, 2**40), "twist": (40, 2, 2**41), "arcs_in": (0, 20, 6564120420)}
+    over = {
+        "chain": (40, 0, 2**40),
+        "twist": (40, 2, 2**43),
+        "arcs40_inside": (0, 20, 6564120420 * 2**20),
+        "arcs20_inside": (0, 10, 16796 * 2**10),
+    }
     for verb, *names in [
         ("jones", "chain"),
         ("bracket", "chain"),
         ("decat", "chain"),
         ("mutate-check", "twist"),
-        ("decat", "arcs_in"),
-        ("pair", "arcs_in", "arcs_out"),
+        ("decat", "arcs40_inside"),
+        ("pair", "arcs40_inside", "arcs40_outside"),
+        ("decat", "arcs20_inside"),
+        ("pair", "arcs20_inside", "arcs20_outside"),
     ]:
         start = time.perf_counter()
         code, out, err = run(capsys, verb, *(str(files[name]) for name in names))
@@ -308,7 +315,7 @@ def test_state_sums_over_the_size_limit_are_rejected_at_once(tmp_path, capsys):
         assert (code, out) == (1, ""), (verb, names)
         c, n, states = over[names[0]]
         assert err == (
-            f"error: the state sum visits 2^{c} x Catalan({n}) = {states} states, "
+            f"error: the state sum visits 2^{c} x Catalan({n}) x 2^{n} = {states} states, "
             f"over the limit of {2**24}\n"
         )
     # only the state sum is refused: single resolutions of the chain still trace

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,19 +17,24 @@ from tanglejones import (
     TangleDiagram,
     bracket,
     decat_vector,
+    enumerate_matchings,
     jones,
     pair,
     parse,
+    resolve,
 )
 from tanglejones.cli import main
+from tanglejones.decat import _state_counts
 
 from .helpers import (
+    _cut_circles,
     cleaved_basis,
     corpus_names,
     corpus_tangle,
     decat_of,
     generators,
     glue,
+    random_braid_tangle,
     with_extra_loop,
 )
 
@@ -187,3 +195,40 @@ def test_free_loops_factor_as_circle_powers(tmp_path, capsys):
     path.write_text("tangle loops40\nside inside\nendpoints 0\nloop 40\n")
     assert main(["jones", str(path)]) == 0
     assert capsys.readouterr().out == (circle**40).render() + "\n"
+
+
+def _counts_by_resolve(t: TangleDiagram) -> dict[CleavedGen, Counter]:
+    """``_state_counts`` rebuilt from ``resolve``, one state at a time.
+
+    States come in ``product`` order and far matchings in enumeration
+    order, so the keys are inserted in the order the state sum first
+    reaches them.  Cut circles are counted by the test helpers' own
+    union-find.
+    """
+    far_matchings = enumerate_matchings(t.endpoints // 2)
+    counts: dict[CleavedGen, Counter] = {}
+    for rho in product((0, 1), repeat=len(t.crossings)):
+        state = resolve(t, rho)
+        how = (sum(rho), len(state.free_circles))
+        for far in far_matchings:
+            ins, outs = (state.lam, far) if t.side == "inside" else (far, state.lam)
+            for decs in product((1, -1), repeat=len(_cut_circles(ins, outs))):
+                counts.setdefault(CleavedGen(ins, outs, decs), Counter())[how] += 1
+    return counts
+
+
+def test_state_counts_match_resolve_state_by_state():
+    """The depth-first walk reaches every state with the same union-find
+    result as ``resolve``, and in ``product`` order: on every corpus file
+    and on seeded braid tangles with up to 10 crossings."""
+    rng = random.Random(20146)
+    braids = [random_braid_tangle(rng, 10) for _ in range(16)]
+    assert max(len(t.crossings) for t in braids) == 10
+    assert {(t.endpoints, t.side) for t in braids} == {
+        (e, s) for e in (4, 6, 8) for s in ("inside", "outside")
+    }
+    for t in [corpus_tangle(name) for name in corpus_names()] + braids:
+        got, want = _state_counts(t), _counts_by_resolve(t)
+        assert got == want, t.name
+        assert list(got) == list(want), t.name
+        assert all(list(got[g]) == list(want[g]) for g in want), t.name

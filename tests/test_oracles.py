@@ -3,9 +3,10 @@
 Jones's formula for torus knots gives the Jones polynomial of every braid
 closure (sigma_1 ... sigma_(p-1))^q in closed form, the determinant of a
 knot's colouring matrix gives |V(-1)|, a mirror image inverts q, a
-connected sum multiplies, and the exhaustive enumeration of
-``tests/helpers.py`` checks the state sum on braid tangles with up to 8
-endpoints, where the induced matchings are the least regular.
+connected sum multiplies, Reidemeister moves I and II change no invariant,
+and the exhaustive enumeration of ``tests/helpers.py`` checks the state sum
+on braid tangles with up to 8 endpoints, where the induced matchings are
+the least regular.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 import pytest
 
 from tanglejones import Crossing, TangleDiagram, decat_vector, jones
+from tanglejones.cli import parse_tangle
 
 from .helpers import (
     _find,
@@ -26,6 +28,7 @@ from .helpers import (
     exhaustive_vector,
     random_braid_tangle,
     shuffled,
+    tangle_text,
 )
 
 SEED = 20141
@@ -273,3 +276,132 @@ def test_connected_sum_multiplies():
     for k1, k2 in pairs:
         total = _times(_terms(connected_sum(k1, k2)), {2: 1, -2: 1})
         assert total == _times(terms[k1.name], terms[k2.name]), (k1.name, k2.name)
+
+
+def _enters(cr: Crossing, slot: int) -> bool:
+    """Whether the strand at ``slot`` runs into the crossing: slot a, and
+    the over-strand's entry, d for a positive crossing and b for a
+    negative one."""
+    return slot == 0 or slot == (3 if cr.sign > 0 else 1)
+
+
+def _oriented(ring: list[int], under_in: int, over_in: int) -> Crossing:
+    """The crossing whose slots run counterclockwise around ``ring``,
+    starting at the incoming under-strand; positive when the over-strand
+    enters at the fourth slot."""
+    k = ring.index(under_in)
+    slots = tuple(ring[k:] + ring[:k])
+    return Crossing(1 if slots[3] == over_in else -1, slots)
+
+
+def kink(t: TangleDiagram, e: int, sign: int, flip: bool = False) -> TangleDiagram:
+    """Reidemeister I: a curl of the given sign on edge e, where e runs in.
+
+    The head end of e takes a fresh label f, and the curl crossing joins e
+    to f: (g, g, f, e) when positive, (e, g, g, f) when negative, with g the
+    curl.  ``flip`` writes the opposite sign on the same curl, which no
+    orientation can produce.
+    """
+    top = max(t.edge_labels())
+    f, g = top + 1, top + 2
+    crossings, boundary = list(t.crossings), dict(t.boundary)
+    heads = [
+        (i, k)
+        for i, cr in enumerate(crossings)
+        for k, label in enumerate(cr.slots)
+        if label == e and _enters(cr, k)
+    ]
+    if heads:
+        i, k = heads[0]
+        slots = list(crossings[i].slots)
+        slots[k] = f
+        crossings[i] = Crossing(crossings[i].sign, tuple(slots))
+    else:  # e runs into the boundary
+        boundary[max(p for p, label in boundary.items() if label == e)] = f
+    curl = (g, g, f, e) if sign > 0 else (e, g, g, f)
+    crossings.append(Crossing(-sign if flip else sign, curl))
+    return TangleDiagram(t.name, t.side, t.endpoints, tuple(crossings), t.loops, boundary)
+
+
+def bigon(t: TangleDiagram, i: int, k: int, x_over: bool) -> TangleDiagram:
+    """Reidemeister II at a corner of crossing i: the strand y at slot k + 1
+    is pushed across the strand x at slot k, through the face between them.
+
+    Seen with x leaving crossing i eastward and y northward, y crosses x
+    southward at P and back northward at Q, further east.  x splits into
+    x0 (to P), x1 (P to Q) and x, y into y0, y1 and y; counterclockwise,
+    P reads x1, y0, x0, y1 and Q reads x, y, x1, y1.  Each new crossing's
+    slots and sign follow the orientation the strands already carry.
+    """
+    cr = t.crossings[i]
+    nxt = (k + 1) % 4
+    x, y = cr.slots[k], cr.slots[nxt]
+    top = max(t.edge_labels())
+    x0, x1, y0, y1 = top + 1, top + 2, top + 3, top + 4
+    slots = list(cr.slots)
+    slots[k], slots[nxt] = x0, y0
+    # the labels running into P and into Q along each strand
+    x_in = (x1, x) if _enters(cr, k) else (x0, x1)
+    y_in = (y1, y) if _enters(cr, nxt) else (y0, y1)
+    under, over = (y_in, x_in) if x_over else (x_in, y_in)
+    crossings = list(t.crossings)
+    crossings[i] = Crossing(cr.sign, tuple(slots))
+    crossings.append(_oriented([x1, y0, x0, y1], under[0], over[0]))
+    crossings.append(_oriented([x, y, x1, y1], under[1], over[1]))
+    return TangleDiagram(t.name, t.side, t.endpoints, tuple(crossings), t.loops, dict(t.boundary))
+
+
+def _moved(t: TangleDiagram, rng: random.Random, most: int) -> TangleDiagram:
+    """Random kinks and bigons on t until one more bigon would take it over
+    ``most`` crossings, round-tripped through the file text."""
+    while len(t.crossings) + 2 <= most:
+        corners = [
+            (i, k)
+            for i, cr in enumerate(t.crossings)
+            for k in range(4)
+            if cr.slots[k] != cr.slots[(k + 1) % 4]
+        ]
+        if corners and rng.random() < 0.5:
+            t = bigon(t, *rng.choice(corners), rng.random() < 0.5)
+        else:
+            t = kink(t, rng.choice(sorted(t.edge_labels())), rng.choice((1, -1)))
+    return parse_tangle(tangle_text(t))
+
+
+def _move_cases() -> list[tuple[TangleDiagram, int]]:
+    """(diagram, crossing cap): seeded braid closures, knots and links, up
+    to 14 crossings, and braid tangles with 4-8 endpoints up to 10."""
+    rng = random.Random(SEED + 3)
+    cases = []
+    for n in range(8):
+        strands = rng.randint(2, 4)
+        word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(3, 9))]
+        cases.append((shuffled(braid_closure(f"closure{n}", strands, word), rng), 14))
+    cases += [(random_braid_tangle(rng, 5), 10) for _ in range(8)]
+    return cases
+
+
+def _value(t: TangleDiagram):
+    return jones(t) if t.endpoints == 0 else decat_vector(t)
+
+
+def test_reidemeister_moves_keep_the_invariant():
+    """Kinks of either sign and bigons with either strand on top, written
+    into the crossing code and read back from text, keep ``jones`` of a
+    closed diagram and ``decat_vector`` of a tangle."""
+    rng = random.Random(SEED + 4)
+    for t, most in _move_cases():
+        moved = _moved(t, rng, most)
+        assert most - 2 < len(moved.crossings) <= most
+        assert _value(moved) == _value(t), t.name
+
+
+def test_a_kink_of_the_wrong_sign_changes_the_invariant():
+    """The move check has teeth: a curl carrying the opposite sign shifts
+    every value by -q^(+-3)."""
+    rng = random.Random(SEED + 5)
+    for t, _ in _move_cases():
+        e = rng.choice(sorted(t.edge_labels()))
+        sign = rng.choice((1, -1))
+        assert _value(kink(t, e, sign)) == _value(t), t.name
+        assert _value(kink(t, e, sign, flip=True)) != _value(t), t.name
