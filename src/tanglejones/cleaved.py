@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
+from .diagram import _MAX_STATES
 from .planar import Matching, enumerate_matchings
 
 __all__ = ["CleavedGen", "basis_count", "basis_keys", "circles_of"]
@@ -78,7 +79,9 @@ class CleavedGen:
         k = _circle_count(self.inside, self.outside)
         if len(self.decs) != k:
             raise ValueError(f"expected {k} decorations, got {len(self.decs)}")
-        if any(d not in (1, -1) for d in self.decs):
+        # count compares with ==, so True and 1.0 pass and [1] or None fail
+        decs = self.decs
+        if decs.count(1) + decs.count(-1) != len(decs):
             raise ValueError("decorations must be +1 or -1")
 
     @property
@@ -115,8 +118,29 @@ def _circle_count(inside: Matching, outside: Matching) -> int:
     return count
 
 
+def _basis_pairs(n: int) -> int:
+    """Catalan(n)^2, the (inside, outside) pairs the basis on 2n points walks.
+
+    Raises ``ValueError`` once the count passes ``_MAX_STATES``, which
+    happens from n = 9 on.  The Catalan numbers grow one step at a time and
+    stop at the first one over the limit, so a huge n costs nothing.
+    """
+    catalan = 1
+    for k in range(1, n + 1):
+        catalan = catalan * 2 * (2 * k - 1) // (k + 1)
+        if catalan * catalan > _MAX_STATES:
+            at_least = "" if k == n else f" >= Catalan({k})^2"
+            raise ValueError(
+                f"basis {n} walks Catalan({n})^2{at_least} = {catalan * catalan} "
+                f"(inside, outside) pairs, over the limit of {_MAX_STATES}"
+            )
+    return catalan * catalan
+
+
 def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
-    # One (inside, outside, circle count) per cleaved link, in basis order.
+    # One (inside, outside, circle count) per cleaved link, in basis order;
+    # a basis over the size limit raises before the first one.
+    _basis_pairs(n)
     matchings = enumerate_matchings(n)
     for inside in matchings:
         for outside in matchings:
@@ -125,6 +149,9 @@ def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
 
 def basis_count(n: int) -> int:
     """The number of decorated cleaved links on 2n points.
+
+    Like :func:`basis_keys`, it raises ``ValueError`` from n = 9 on, where
+    the Catalan(n)^2 matching pairs to walk pass ``_MAX_STATES``.
 
     >>> [basis_count(n) for n in range(5)]
     [1, 2, 12, 104, 1092]

@@ -28,8 +28,12 @@ circles.  The cube is walked depth first, one crossing per level, so states
 that share their first j smoothings share the unions of those j crossings:
 each level joins its crossing's two pairs once for every state below it.
 The 2^(c+1) - 2 branches of the walk make about four unions per state, where
-joining each state from scratch takes two per crossing.  The counts then
-expand into polynomials with binomial coefficients.
+joining each state from scratch takes two per crossing.  What is left per
+state is its bookkeeping: one walk of the boundary ends to their roots, and
+for each far matching one circle trace and one generator built and counted
+per cut-circle decoration.  The decorations, the side and the matchings'
+hashes are worked out once, not per state.  The counts then expand into
+polynomials with binomial coefficients.
 ``decat_vector`` and ``bracket`` both read that engine.  The only other
 state sums are the test suite's oracles, which list every decorated
 resolution one by one or rebuild the counts from
@@ -161,6 +165,13 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     with the loops, are its free circles.  ``_partners`` walks each
     boundary end to its root, and the matching is looked up by partner
     tuple, so at most Catalan(n) matchings are built per call.
+
+    Each state then costs, per far matching, one ``circles_of`` call and,
+    per decoration of its k cut circles, one :class:`CleavedGen` and one
+    dictionary lookup, whose hash reads the two matchings' stored hashes.
+    The 2^k decorations come from a list built once per call for each
+    k = 0..n, in ``product((1, -1), repeat=k)`` order, and a generator's
+    count dictionary is made only the first time it is reached.
     """
     labels, smoothings, ends = t._compiled
     n = t.endpoints // 2
@@ -172,6 +183,9 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
         )
     free0 = len(labels) - n + t.loops
     far_matchings = enumerate_matchings(n)
+    inside = t.side == "inside"
+    # every cut-circle decoration of k circles, built once per call
+    decorations = [list(product((1, -1), repeat=k)) for k in range(n + 1)]
     lams: dict[tuple[int, ...], Matching] = {}
     counts: dict[CleavedGen, dict[tuple[int, int], int]] = {}
     depth = len(smoothings)
@@ -216,14 +230,14 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
         if lam is None:
             lam = lams[partners] = Matching(n, partners)
         for far in far_matchings:
-            if t.side == "inside":
-                ins, outs = lam, far
-            else:
-                ins, outs = far, lam
-            k = len(circles_of(ins, outs))
-            for cut_decs in product((1, -1), repeat=k):
-                by_how = counts.setdefault(CleavedGen(ins, outs, cut_decs), {})
-                by_how[how] = by_how.get(how, 0) + 1
+            ins, outs = (lam, far) if inside else (far, lam)
+            for cut_decs in decorations[len(circles_of(ins, outs))]:
+                g = CleavedGen(ins, outs, cut_decs)
+                by_how = counts.get(g)
+                if by_how is None:
+                    counts[g] = {how: 1}
+                else:
+                    by_how[how] = by_how.get(how, 0) + 1
     return counts
 
 

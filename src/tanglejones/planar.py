@@ -34,7 +34,10 @@ class Matching:
 
     ``pairs[p - 1]`` is the partner of point ``p``.  Construction validates
     that the pairing is a fixed-point-free involution, joins odd points to
-    even points, and has no interleaved arcs.
+    even points, and has no interleaved arcs, then computes the hash once:
+    matchings are dictionary keys, alone and inside every cleaved generator,
+    so each lookup returns the stored value instead of hashing the fields
+    again.  Equality still compares the fields.
     """
 
     n: int
@@ -67,6 +70,11 @@ class Matching:
                 if not stack or stack[-1] != mate:
                     raise ValueError(f"arcs interleave at point {p}")
                 stack.pop()
+        # not a field: equality, repr and fields() see only n and pairs
+        object.__setattr__(self, "_hash", hash(self.pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def encode(self) -> tuple[int, ...]:
         """The even partners of points 1, 3, ..., 2n-1 in order.

@@ -330,25 +330,37 @@ def shuffled(t: TangleDiagram, rng: random.Random) -> TangleDiagram:
     return TangleDiagram(t.name, t.side, t.endpoints, tuple(crossings), t.loops, boundary)
 
 
-def random_braid_tangle(rng: random.Random, most: int = 8) -> TangleDiagram:
-    """A random braid on 2-4 strands with 3 to ``most`` crossings, read as a
-    tangle.
+def braid_tangle(strands: int, word: list[tuple[int, int]], side: str) -> TangleDiagram:
+    """A braid word read as a tangle on the given side.
 
-    The side is drawn at random.  Points 1..k are the bottom ends from left
-    to right and k+1..2k the top ends from right to left, counterclockwise
-    from the bottom-left corner, so k strands give 2k endpoints.
+    Points 1..k are the bottom ends from left to right and k+1..2k the top
+    ends from right to left, counterclockwise from the bottom-left corner,
+    so k strands give 2k endpoints.
     """
+    crossings, bottom, top = braid(strands, word, side)
+    boundary = dict(enumerate(bottom + top[::-1], start=1))
+    name = f"braid{strands}_{len(word)}"
+    return TangleDiagram(name, side, 2 * strands, tuple(crossings), 0, boundary)
+
+
+def random_braid_word(
+    rng: random.Random, most: int = 8
+) -> tuple[int, str, list[tuple[int, int]]]:
+    """(strands, side, word): 2-4 strands, a random side and 3 to ``most``
+    letters."""
     strands = rng.randint(2, 4)
     side = rng.choice(("inside", "outside"))
     word = [
         (rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(3, most))
     ]
-    crossings, bottom, top = braid(strands, word, side)
-    boundary = dict(enumerate(bottom + top[::-1], start=1))
-    name = f"braid{strands}_{len(word)}"
-    return shuffled(
-        TangleDiagram(name, side, 2 * strands, tuple(crossings), 0, boundary), rng
-    )
+    return strands, side, word
+
+
+def random_braid_tangle(rng: random.Random, most: int = 8) -> TangleDiagram:
+    """A random braid on 2-4 strands with 3 to ``most`` crossings, read as a
+    tangle by :func:`braid_tangle` on a random side, with shuffled labels."""
+    strands, side, word = random_braid_word(rng, most)
+    return shuffled(braid_tangle(strands, word, side), rng)
 
 
 def braid_closure(name: str, strands: int, word: list[tuple[int, int]]) -> TangleDiagram:

@@ -80,8 +80,14 @@ def test_decoration_validation():
         CleavedGen(nested, nested, (1,))  # two circles need two signs
     with pytest.raises(ValueError):
         CleavedGen(nested, nested, (1, 0))  # signs are +1 or -1
+    for bad in [2, None, "+", 1.5, [1]]:  # [1] is unhashable and still a ValueError
+        with pytest.raises(ValueError, match="decorations must be"):
+            CleavedGen(nested, nested, (1, bad))
     with pytest.raises(ValueError):
         CleavedGen(nested, Matching.empty(), ())  # n mismatch
+    # values equal to +1 or -1 pass, as they always have
+    assert CleavedGen(nested, nested, (True, -1)) == CleavedGen(nested, nested, (1, -1))
+    assert CleavedGen(nested, nested, (1.0, -1)) == CleavedGen(nested, nested, (1, -1))
 
 
 @given(small_gens)

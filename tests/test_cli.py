@@ -160,6 +160,20 @@ def test_basis_rejects_negative(capsys):
     assert "nonnegative" in err
 
 
+def test_basis_over_the_size_limit_is_rejected_at_once(capsys):
+    # basis 8 walks 1430^2 pairs in about half a minute; from 9 on it never
+    # finishes, and the limit is found without forming Catalan(N)
+    assert cleaved._basis_pairs(8) == 1430**2 <= diagram._MAX_STATES
+    tail = f"= {4862**2} (inside, outside) pairs, over the limit of {2**24}\n"
+    for n, bound in [("9", ""), ("30", " >= Catalan(9)^2"), ("99999999999", " >= Catalan(9)^2")]:
+        for json_flag in ([], ["--json"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "basis", *json_flag, n)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, ""), (n, json_flag)
+            assert err == f"error: basis {n} walks Catalan({n})^2{bound} {tail}"
+
+
 def test_mutate_check(capsys):
     code, out, _ = run(capsys, "mutate-check", T_LEFT)
     assert code == 0

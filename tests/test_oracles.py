@@ -3,10 +3,10 @@
 Jones's formula for torus knots gives the Jones polynomial of every braid
 closure (sigma_1 ... sigma_(p-1))^q in closed form, the determinant of a
 knot's colouring matrix gives |V(-1)|, a mirror image inverts q, a
-connected sum multiplies, Reidemeister moves I and II change no invariant,
-and the exhaustive enumeration of ``tests/helpers.py`` checks the state sum
-on braid tangles with up to 8 endpoints, where the induced matchings are
-the least regular.
+connected sum multiplies, Reidemeister moves I, II and III (the last as
+braid relations) change no invariant, and the exhaustive enumeration of
+``tests/helpers.py`` checks the state sum on braid tangles with up to 8
+endpoints, where the induced matchings are the least regular.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from tanglejones.cli import parse_tangle
 from .helpers import (
     _find,
     braid_closure,
+    braid_tangle,
     corpus_names,
     corpus_tangle,
     exhaustive_vector,
     random_braid_tangle,
+    random_braid_word,
     shuffled,
     tangle_text,
 )
@@ -368,16 +370,19 @@ def _moved(t: TangleDiagram, rng: random.Random, most: int) -> TangleDiagram:
     return parse_tangle(tangle_text(t))
 
 
-def _move_cases() -> list[tuple[TangleDiagram, int]]:
-    """(diagram, crossing cap): seeded braid closures, knots and links, up
-    to 14 crossings, and braid tangles with 4-8 endpoints up to 10."""
+def _move_cases() -> list[tuple[TangleDiagram, int, int, list[tuple[int, int]]]]:
+    """(diagram, crossing cap, strands, braid word): seeded braid closures,
+    knots and links, up to 14 crossings, and braid tangles with 4-8
+    endpoints up to 10, each drawn from its word with shuffled labels."""
     rng = random.Random(SEED + 3)
     cases = []
     for n in range(8):
         strands = rng.randint(2, 4)
         word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(rng.randint(3, 9))]
-        cases.append((shuffled(braid_closure(f"closure{n}", strands, word), rng), 14))
-    cases += [(random_braid_tangle(rng, 5), 10) for _ in range(8)]
+        cases.append((shuffled(braid_closure(f"closure{n}", strands, word), rng), 14, strands, word))
+    for _ in range(8):
+        strands, side, word = random_braid_word(rng, 5)
+        cases.append((shuffled(braid_tangle(strands, word, side), rng), 10, strands, word))
     return cases
 
 
@@ -390,7 +395,7 @@ def test_reidemeister_moves_keep_the_invariant():
     into the crossing code and read back from text, keep ``jones`` of a
     closed diagram and ``decat_vector`` of a tangle."""
     rng = random.Random(SEED + 4)
-    for t, most in _move_cases():
+    for t, most, _, _ in _move_cases():
         moved = _moved(t, rng, most)
         assert most - 2 < len(moved.crossings) <= most
         assert _value(moved) == _value(t), t.name
@@ -400,8 +405,50 @@ def test_a_kink_of_the_wrong_sign_changes_the_invariant():
     """The move check has teeth: a curl carrying the opposite sign shifts
     every value by -q^(+-3)."""
     rng = random.Random(SEED + 5)
-    for t, _ in _move_cases():
+    for t, *_ in _move_cases():
         e = rng.choice(sorted(t.edge_labels()))
         sign = rng.choice((1, -1))
         assert _value(kink(t, e, sign)) == _value(t), t.name
         assert _value(kink(t, e, sign, flip=True)) != _value(t), t.name
+
+
+def _braided(t: TangleDiagram, strands: int, word: list[tuple[int, int]], rng: random.Random):
+    """``word`` drawn as t was, a closure or a tangle on t's side, with
+    shuffled labels."""
+    if t.endpoints == 0:
+        return shuffled(braid_closure(t.name, strands, word), rng)
+    return shuffled(braid_tangle(strands, word, t.side), rng)
+
+
+def test_braid_relations_keep_the_invariant():
+    """Reidemeister III as the braid relation s_i s_(i+1) s_i = s_(i+1) s_i
+    s_(i+1), its three letters of one sign, and far commutation s_i s_j =
+    s_j s_i for |i - j| >= 2, each inserted at a random place in the braid
+    word of every move case with room for it.  Both sides are drawn with
+    ``braid``.  On a tangle, a letter of the rewritten side that carries
+    the other sign must change the value.  On a closure it need not: a
+    letter whose index occurs nowhere else in the word, for one, is a
+    nugatory crossing, and flipping it is itself an isotopy."""
+    rng = random.Random(SEED + 6)
+    moves = Counter()
+    for t, _, strands, word in _move_cases():
+        rewrites = []
+        for i in range(strands - 2):
+            s = rng.choice((1, -1))
+            rewrites.append(("R3", [(i, s), (i + 1, s), (i, s)], [(i + 1, s), (i, s), (i + 1, s)]))
+        for i, j in combinations(range(strands - 1), 2):
+            if j - i >= 2:
+                left = [(i, rng.choice((1, -1))), (j, rng.choice((1, -1)))]
+                rewrites.append(("far", left, left[::-1]))
+        for kind, left, right in rewrites:
+            at = rng.randint(0, len(word))
+            k = rng.randrange(len(right))
+            wrong = right[:k] + [(right[k][0], -right[k][1])] + right[k + 1 :]
+            before, after, flipped = (
+                _value(_braided(t, strands, word[:at] + side + word[at:], rng))
+                for side in (left, right, wrong)
+            )
+            assert after == before, (t.name, kind)
+            assert flipped != before or t.endpoints == 0, (t.name, kind)
+            moves[kind, t.endpoints == 0] += 1
+    assert all(moves[kind, closed] >= 2 for kind in ("R3", "far") for closed in (True, False)), moves

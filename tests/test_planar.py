@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tanglejones import Matching, enumerate_matchings, rotate_matching, rotate_point
+from tanglejones import (
+    CleavedGen,
+    Matching,
+    circles_of,
+    enumerate_matchings,
+    rotate_matching,
+    rotate_point,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -135,3 +142,29 @@ def test_rendering_leaves_fields_equality_and_hash_alone():
         assert hash(rendered) == hash(plain)
         assert repr(rendered) == repr(plain)
         assert len({rendered, plain}) == 1
+
+
+def test_equal_matchings_from_every_constructor_are_one_key():
+    # The hash is stored at construction, so it must not depend on which
+    # constructor built the matching, alone or inside a cleaved generator.
+    for n in range(5):
+        listed = enumerate_matchings(n)
+        index = {m: i for i, m in enumerate(listed)}
+        gens = {}
+        for a in listed:
+            for b in listed:
+                gens[CleavedGen(a, b, (-1,) * len(circles_of(a, b)))] = (a, b)
+        for m in listed:
+            decoded = Matching.decode(m.encode())
+            turns = (rotate_matching(rotate_matching(m, s), -s) for s in range(2 * n + 1))
+            copies = [decoded, *turns]
+            for copy in copies:
+                assert copy is not m
+                assert copy == m and hash(copy) == hash(m)
+                assert listed[index[copy]] is m
+            for b in listed:
+                turned = rotate_matching(b, 1)
+                decs = (-1,) * len(circles_of(decoded, turned))
+                g = CleavedGen(decoded, turned, decs)
+                assert gens[g] == (m, listed[index[turned]])
+                assert hash(g) == hash(CleavedGen(m, listed[index[turned]], decs))
