@@ -25,12 +25,12 @@ compiles itself once, on construction, into flat index arrays: its edge
 labels numbered 0..E-1 in increasing order, each crossing's two smoothings
 as index 4-tuples, and the boundary points with the index of their edge.
 The state sum in :mod:`tanglejones.decat` walks the whole cube on those
-arrays with its own union-find, sharing work between states.
-:func:`resolve`, the readable view of one state, with its circles and
-matching, joins one chosen smoothing per crossing with :func:`_join`.  No
-pass compresses either union-find: each index that is read is walked to
-its root, the boundary ends by :func:`_partners`, which both share, and
-every index by :func:`resolve`.
+arrays, sharing work between states.  :func:`resolve`, the readable view
+of one state, with its circles and matching, joins one chosen smoothing
+per crossing.  Both keep a list union-find that no pass compresses: each
+index that is read is walked to its root with :func:`_root`, the boundary
+ends by :func:`_partners`, which both share, and every index by
+:func:`resolve`.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class TangleDiagram:
     ``boundary`` maps each point 1..2n to the edge ending there.
     Construction raises :class:`DiagramError` listing every violation that
     :func:`validate` finds; a valid diagram then compiles the private
-    ``_compiled`` arrays that :func:`resolve` reads, which take no part in
-    construction, repr or equality.
+    ``_compiled`` arrays that the state sum and :func:`resolve` read, which
+    take no part in construction, repr or equality.
     """
 
     name: str
@@ -265,44 +265,6 @@ def _root(parent: list[int], x: int) -> int:
     return x
 
 
-def _join(choice: Iterable[tuple[int, int, int, int]], size: int) -> tuple[list[int], int]:
-    """(parent of each edge index, number of merges) of one resolution.
-
-    ``choice`` holds one chosen smoothing per crossing, an index 4-tuple
-    (w, x, y, z) that joins w to x and y to z, which :func:`resolve` builds
-    from bits.  A list union-find over ``size`` edge indices does
-    both unions inline, with the walk of :func:`_root`, and links the
-    larger root under the smaller, so each root is its component's
-    smallest index and the components number ``size`` minus the merges.
-    There is no ascending pass: a caller walks each index it reads to its
-    root.
-    """
-    parent = list(range(size))
-    merges = 0
-    for w, x, y, z in choice:
-        while parent[w] != w:
-            w = parent[w]
-        while parent[x] != x:
-            x = parent[x]
-        if w < x:
-            parent[x] = w
-            merges += 1
-        elif x < w:
-            parent[w] = x
-            merges += 1
-        while parent[y] != y:
-            y = parent[y]
-        while parent[z] != z:
-            z = parent[z]
-        if y < z:
-            parent[z] = y
-            merges += 1
-        elif z < y:
-            parent[y] = z
-            merges += 1
-    return parent, merges
-
-
 def _partners(parent: list[int], ends: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The partner of each boundary point 1..2n: the other end of its strand.
 
@@ -326,12 +288,12 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
     ``rho`` is any iterable of one 0/1 bit per crossing; anything else
     raises :class:`ValueError`.  This is the readable view of one state,
     for tests and callers that want its circles: the bits choose one
-    smoothing per crossing, ``_join`` unites them, and every index is then
-    walked to its root.  Each root is its component's smallest index, so
-    the free circles come out ordered by smallest label.  The diagram is
-    valid by construction, so every component is a closed loop or a strand
-    with two boundary ends, and the planarity check makes the strands'
-    matching non-crossing.
+    smoothing per crossing, a list union-find joins each, and every index
+    is then walked to its root.  The circles collect their labels in
+    increasing order, so they come out ordered by smallest label.  The
+    diagram is valid by construction, so every component is a closed loop
+    or a strand with two boundary ends, and the planarity check makes the
+    strands' matching non-crossing.
 
     The Hopf link has two free circles when both crossings smooth alike
     and one otherwise:
@@ -347,7 +309,11 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
         raise ValueError(f"expected {len(smoothings)} resolution bits, got {len(bits)}")
     if any(bit not in (0, 1) for bit in bits):
         raise ValueError("resolution bits must be 0 or 1")
-    parent, _ = _join([pair[bit == 1] for pair, bit in zip(smoothings, bits)], len(labels))
+    parent = list(range(len(labels)))
+    for pair, bit in zip(smoothings, bits):
+        w, x, y, z = pair[bit == 1]
+        parent[_root(parent, w)] = _root(parent, x)
+        parent[_root(parent, y)] = _root(parent, z)
     roots = [_root(parent, i) for i in range(len(labels))]
     on_boundary = {roots[i] for _, i in ends}
     circles: dict[int, list[int]] = {}

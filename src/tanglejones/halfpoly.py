@@ -36,7 +36,7 @@ class HalfLaurent:
         data: dict[int, int] = {}
         if terms:
             for e2, c in terms.items():
-                if not isinstance(e2, int) or not isinstance(c, int):
+                if type(e2) is not int or type(c) is not int:
                     raise TypeError("terms must map integer doubled exponents to integer coefficients")
                 if c:
                     data[e2] = c
@@ -55,7 +55,7 @@ class HalfLaurent:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = HalfLaurent({0: other})
+            other = HalfLaurent({0: int(other)})
         if not isinstance(other, HalfLaurent):
             return NotImplemented
         return self._terms == other._terms
@@ -141,7 +141,7 @@ def _coerce(value: object) -> HalfLaurent:
     if isinstance(value, HalfLaurent):
         return value
     if isinstance(value, int):
-        return HalfLaurent({0: value})
+        return HalfLaurent({0: int(value)})
     return NotImplemented
 
 

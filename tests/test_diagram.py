@@ -26,6 +26,7 @@ from .helpers import (
     corpus_names,
     corpus_tangle,
     joined_edges,
+    random_braid_tangle,
     random_strand_tangle,
     tangle_text,
     with_extra_loop,
@@ -163,5 +164,14 @@ def test_resolve_agrees_with_the_oracle_on_the_corpus():
 @given(st.randoms(use_true_random=False), st.integers(1, 8))
 def test_resolve_agrees_with_the_oracle_on_kink_chains(rng: random.Random, kinks: int):
     t = random_strand_tangle(rng, max_kinks=kinks)
+    for rho in product((0, 1), repeat=len(t.crossings)):
+        _agrees_with_oracle(t, rho)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_resolve_agrees_with_the_oracle_on_braid_tangles(rng: random.Random):
+    # shuffled labels: components meet in no particular label order
+    t = random_braid_tangle(rng)
     for rho in product((0, 1), repeat=len(t.crossings)):
         _agrees_with_oracle(t, rho)

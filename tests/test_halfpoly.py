@@ -75,6 +75,18 @@ def test_int_coercion():
     assert 1 - a == HalfLaurent({0: 1, 2: -1})
 
 
+@pytest.mark.parametrize("terms", [{True: 1}, {0: True}, {1.0: 1}, {1: 1.0}, {"1": 1}])
+def test_terms_must_be_plain_integers(terms):
+    # a bool is an int subclass, but q^(True/2) is no exponent to print
+    with pytest.raises(TypeError):
+        HalfLaurent(terms)
+
+
+def test_bool_operands_act_as_integers():
+    assert ONE == True  # noqa: E712
+    assert (ONE + True).render() == "2"
+
+
 @given(polys, polys)
 def test_addition_commutes(a, b):
     assert a + b == b + a

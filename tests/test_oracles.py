@@ -4,9 +4,10 @@ Jones's formula for torus knots gives the Jones polynomial of every braid
 closure (sigma_1 ... sigma_(p-1))^q in closed form, the determinant of a
 knot's colouring matrix gives |V(-1)|, a mirror image inverts q, a
 connected sum multiplies, Reidemeister moves I, II and III (the last as
-braid relations) change no invariant, and the exhaustive enumeration of
-``tests/helpers.py`` checks the state sum on braid tangles with up to 8
-endpoints, where the induced matchings are the least regular.
+braid relations) and Conway mutation change no invariant, and the
+exhaustive enumeration of ``tests/helpers.py`` checks the state sum on
+braid tangles with up to 8 endpoints, where the induced matchings are the
+least regular.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import pytest
 
-from tanglejones import Crossing, TangleDiagram, decat_vector, jones
+from tanglejones import Crossing, TangleDiagram, bracket, decat_vector, jones
 from tanglejones.cli import parse_tangle
 
 from .helpers import (
@@ -27,6 +28,7 @@ from .helpers import (
     corpus_names,
     corpus_tangle,
     exhaustive_vector,
+    glue,
     random_braid_tangle,
     random_braid_word,
     shuffled,
@@ -452,3 +454,32 @@ def test_braid_relations_keep_the_invariant():
             assert flipped != before or t.endpoints == 0, (t.name, kind)
             moves[kind, t.endpoints == 0] += 1
     assert all(moves[kind, closed] >= 2 for kind in ("R3", "far") for closed in (True, False)), moves
+
+
+def rotated(t: TangleDiagram, steps: int) -> TangleDiagram:
+    """t with its boundary relabelled ``steps`` points round: point p
+    becomes point p - steps, modulo the endpoint count."""
+    boundary = {(p - 1 - steps) % t.endpoints + 1: e for p, e in t.boundary.items()}
+    return TangleDiagram(t.name, t.side, t.endpoints, t.crossings, t.loops, boundary)
+
+
+def _two_strand_tangle(rng: random.Random, side: str) -> TangleDiagram:
+    word = [(0, rng.choice((1, -1))) for _ in range(rng.randint(3, 7))]
+    return shuffled(braid_tangle(2, word, side), rng)
+
+
+def test_conway_mutation_keeps_the_bracket():
+    """Turning a 4-point inside tangle two steps round and gluing it back
+    is a Conway mutation, which keeps the bracket.  The bracket, not
+    ``jones``: the turned tangle keeps its crossings' signs from the file,
+    and nothing ties them to an orientation of the mutant.  A one-step
+    turn is no mutation, and it must change the bracket of some pair."""
+    rng = random.Random(SEED + 7)
+    pairs = [(_two_strand_tangle(rng, "inside"), _two_strand_tangle(rng, "outside")) for _ in range(30)]
+    pairs.append((corpus_tangle("kt_inside"), corpus_tangle("kt_outside")))
+    one_step_changed = False
+    for inside, outside in pairs:
+        knot = bracket(glue(inside, outside))
+        assert bracket(glue(rotated(inside, 2), outside)) == knot, (inside.name, outside.name)
+        one_step_changed |= bracket(glue(rotated(inside, 1), outside)) != knot
+    assert one_step_changed
