@@ -88,9 +88,6 @@ class CleavedGen:
     def n(self) -> int:
         return self.inside.n
 
-    def circles(self) -> tuple[tuple[int, ...], ...]:
-        return circles_of(self.inside, self.outside)
-
     def key(self) -> str:
         """Canonical text key "[<inside>|<outside>|<decorations>]".
 

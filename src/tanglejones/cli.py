@@ -133,14 +133,14 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
 
 
 def load_tangle(path: str | Path) -> TangleDiagram:
-    """Parse one tangle file into a diagram, which validates itself.
+    """Parse one UTF-8 tangle file into a diagram, which validates itself.
 
-    A :class:`DiagramError` is raised again with the path in front, and so
-    is a file that does not decode as text, as a ``ValueError``.
+    A byte-order mark is skipped.  A :class:`DiagramError` is raised again
+    with the path in front, and so is an undecodable file, as a ValueError.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from err
     try:

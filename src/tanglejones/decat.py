@@ -78,7 +78,7 @@ __all__ = [
     "bracket",
 ]
 
-_EMPTY_GEN = CleavedGen(Matching.empty(), Matching.empty(), ())
+_EMPTY_GEN = CleavedGen(Matching(0, ()), Matching(0, ()), ())
 
 
 class DecatVector:

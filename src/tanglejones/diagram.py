@@ -26,11 +26,11 @@ labels numbered 0..E-1 in increasing order, each crossing's two smoothings
 as index 4-tuples, and the boundary points with the index of their edge.
 The state sum in :mod:`tanglejones.decat` walks the whole cube on those
 arrays, sharing work between states.  :func:`resolve`, the readable view
-of one state, with its circles and matching, joins one chosen smoothing
-per crossing.  Both keep a list union-find that no pass compresses: each
-index that is read is walked to its root with :func:`_root`, the boundary
-ends by :func:`_partners`, which both share, and every index by
-:func:`resolve`.
+of one state, joins one chosen smoothing per crossing and returns the
+state's free circles and boundary matching as a pair.  Both keep a list
+union-find that no pass compresses: each index that is read is walked to
+its root with :func:`_root`, the boundary ends by :func:`_partners`, which
+both share, and every index by :func:`resolve`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .planar import Matching
 __all__ = [
     "Crossing",
     "TangleDiagram",
-    "ResolvedState",
     "DiagramError",
     "validate",
     "resolve",
@@ -125,21 +124,6 @@ class TangleDiagram:
         return labels
 
 
-@dataclass(frozen=True)
-class ResolvedState:
-    """One point of the resolution cube.
-
-    ``free_circles`` lists the edge sets of components missing the
-    boundary, ordered by smallest edge label; crossingless loops carry no
-    edges and appear as empty sets at the end.  ``lam`` is the non-crossing
-    matching the boundary-to-boundary strands induce on the 2n points.
-    Edges appear by label, never by their index in the compiled arrays.
-    """
-
-    free_circles: tuple[frozenset[int], ...]
-    lam: Matching
-
-
 def validate(t: TangleDiagram) -> list[str]:
     """All invariant violations, empty when the diagram is well formed.
 
@@ -152,36 +136,56 @@ def validate(t: TangleDiagram) -> list[str]:
     errors: list[str] = []
     if t.side not in ("inside", "outside"):
         errors.append(f"side must be 'inside' or 'outside', got {t.side!r}")
-    if t.endpoints < 0:
+    # A value that is not a plain int is reported once and never compared.
+    if type(t.endpoints) is not int:
+        errors.append(f"endpoints must be an integer, got {t.endpoints!r}")
+    elif t.endpoints < 0:
         errors.append(f"endpoints must be nonnegative, got {t.endpoints}")
     elif t.endpoints % 2:
         errors.append(f"endpoints must be even, got {t.endpoints}")
-    if t.loops < 0:
+    if type(t.loops) is not int:
+        errors.append(f"loop count must be an integer, got {t.loops!r}")
+    elif t.loops < 0:
         errors.append(f"loop count must be nonnegative, got {t.loops}")
     elif t.loops > _MAX_LOOPS:
         errors.append(f"loop count {t.loops} exceeds the limit of {_MAX_LOOPS}")
+    labels = list(t.boundary.values())
     for idx, cr in enumerate(t.crossings, start=1):
-        if cr.sign not in (1, -1):
+        if type(cr.sign) is not int or cr.sign not in (1, -1):
             errors.append(f"crossing {idx} has sign {cr.sign!r}, expected +1 or -1")
+        if type(cr.slots) is not tuple:
+            errors.append(f"crossing {idx} has slots {cr.slots!r}, expected a tuple")
+            labels.append(cr.slots)  # not an int: the edge count below is skipped
+            continue
         if len(cr.slots) != 4:
             errors.append(f"crossing {idx} has {len(cr.slots)} slots, expected 4")
-        elif any(not isinstance(e, int) or e < 1 for e in cr.slots):
+        elif any(type(e) is int and e < 1 for e in cr.slots):
             errors.append(f"crossing {idx} has a non-positive edge label")
-    # The point count comes from the file, so missing points are counted,
-    # never listed in full.
-    missing = max(t.endpoints, 0) - sum(1 for p in t.boundary if 1 <= p <= t.endpoints)
-    unmatched = (p for p in count(1) if p not in t.boundary)
-    for p in islice(unmatched, min(missing, _LISTED_POINTS)):
-        errors.append(f"boundary point {p} has no edge")
-    if missing > _LISTED_POINTS:
-        errors.append(f"and {missing - _LISTED_POINTS} more boundary points have no edge")
-    for p in sorted(p for p in t.boundary if not 1 <= p <= t.endpoints):
-        errors.append(f"boundary names point {p}, outside 1..{t.endpoints}")
-    usage = Counter(e for cr in t.crossings for e in cr.slots)
-    usage.update(t.boundary.values())
-    for e in sorted(usage):
-        if usage[e] != 2:
-            errors.append(f"edge {e} has {usage[e]} ends, expected exactly 2")
+        for e in cr.slots:
+            if type(e) is not int:
+                errors.append(f"crossing {idx} has edge label {e!r}, expected an integer")
+        labels += cr.slots
+    for p, e in t.boundary.items():
+        if type(p) is not int:
+            errors.append(f"boundary names point {p!r}, expected an integer")
+        if type(e) is not int:
+            errors.append(f"boundary point {p!r} has edge label {e!r}, expected an integer")
+    if type(t.endpoints) is int and all(type(p) is int for p in t.boundary):
+        # The point count comes from the file, so missing points are
+        # counted, never listed in full.
+        missing = max(t.endpoints, 0) - sum(1 for p in t.boundary if 1 <= p <= t.endpoints)
+        unmatched = (p for p in count(1) if p not in t.boundary)
+        for p in islice(unmatched, min(missing, _LISTED_POINTS)):
+            errors.append(f"boundary point {p} has no edge")
+        if missing > _LISTED_POINTS:
+            errors.append(f"and {missing - _LISTED_POINTS} more boundary points have no edge")
+        for p in sorted(p for p in t.boundary if not 1 <= p <= t.endpoints):
+            errors.append(f"boundary names point {p}, outside 1..{t.endpoints}")
+    if all(type(e) is int for e in labels):
+        usage = Counter(labels)
+        for e in sorted(usage):
+            if usage[e] != 2:
+                errors.append(f"edge {e} has {usage[e]} ends, expected exactly 2")
     if not errors:
         pieces, euler = _euler_characteristic(t)
         if euler != 2 * pieces:
@@ -282,25 +286,29 @@ def _partners(parent: list[int], ends: tuple[tuple[int, int], ...]) -> tuple[int
     return tuple(pairs)
 
 
-def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
+def resolve(t: TangleDiagram, rho: Iterable[int]) -> tuple[tuple[frozenset[int], ...], Matching]:
     """Smooth every crossing according to rho and trace the components.
 
+    Returns the pair ``(free_circles, lam)``: the edge labels of each
+    component that misses the boundary, with crossingless loops as empty
+    sets at the end, and the non-crossing matching that the
+    boundary-to-boundary strands induce on the 2n points.
+
     ``rho`` is any iterable of one 0/1 bit per crossing; anything else
-    raises :class:`ValueError`.  This is the readable view of one state,
-    for tests and callers that want its circles: the bits choose one
-    smoothing per crossing, a list union-find joins each, and every index
-    is then walked to its root.  The circles collect their labels in
-    increasing order, so they come out ordered by smallest label.  The
-    diagram is valid by construction, so every component is a closed loop
-    or a strand with two boundary ends, and the planarity check makes the
-    strands' matching non-crossing.
+    raises :class:`ValueError`.  The bits choose one smoothing per
+    crossing, a list union-find joins each, and every index is then walked
+    to its root.  The circles collect their labels in increasing order, so
+    they come out ordered by smallest label.  The diagram is valid by
+    construction, so every component is a closed loop or a strand with two
+    boundary ends, and the planarity check makes the strands' matching
+    non-crossing.
 
     The Hopf link has two free circles when both crossings smooth alike
     and one otherwise:
 
     >>> hopf = TangleDiagram("hopf", "inside", 0,
     ...                      (Crossing(1, (2, 3, 4, 1)), Crossing(1, (1, 4, 3, 2))))
-    >>> [len(resolve(hopf, rho).free_circles) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    >>> [len(resolve(hopf, rho)[0]) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))]
     [2, 1, 1, 2]
     """
     labels, smoothings, ends = t._compiled
@@ -322,4 +330,4 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> ResolvedState:
             circles.setdefault(root, []).append(label)
     free = [frozenset(edges) for edges in circles.values()]
     free.extend(frozenset() for _ in range(t.loops))
-    return ResolvedState(tuple(free), Matching(t.endpoints // 2, _partners(parent, ends)))
+    return tuple(free), Matching(t.endpoints // 2, _partners(parent, ends))

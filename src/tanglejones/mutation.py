@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cleaved import CleavedGen
+from .cleaved import CleavedGen, circles_of
 from .decat import DecatVector, decat_vector
 from .diagram import DiagramError, TangleDiagram
 from .planar import Matching, rotate_matching, rotate_point
@@ -35,7 +35,7 @@ def rotate_gen(g: CleavedGen, steps: int) -> CleavedGen:
     """
     moved = sorted(
         (min(rotate_point(p, steps, g.n) for p in circle), dec)
-        for circle, dec in zip(g.circles(), g.decs)
+        for circle, dec in zip(circles_of(g.inside, g.outside), g.decs)
     )
     ins = rotate_matching(g.inside, steps)
     outs = rotate_matching(g.outside, steps)

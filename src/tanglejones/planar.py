@@ -102,10 +102,6 @@ class Matching:
             pairs[even - 1] = odd
         return cls(n, tuple(pairs))
 
-    @classmethod
-    def empty(cls) -> Matching:
-        return cls(0, ())
-
     @cached_property
     def _text(self) -> str:
         # Rendered on first use only: most matchings are never printed.
@@ -147,8 +143,6 @@ def enumerate_matchings(n: int) -> list[Matching]:
     >>> [str(m) for m in enumerate_matchings(2)]
     ['2,4', '4,2']
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return list(_matchings(n))
 
 

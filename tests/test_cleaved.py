@@ -30,7 +30,7 @@ def test_basis_counts():
 def test_empty_generator():
     (g,) = cleaved_basis(0)
     assert g.n == 0
-    assert g.circles() == ()
+    assert circles_of(g.inside, g.outside) == ()
     assert g.key() == "[||]"
 
 
@@ -84,7 +84,7 @@ def test_decoration_validation():
         with pytest.raises(ValueError, match="decorations must be"):
             CleavedGen(nested, nested, (1, bad))
     with pytest.raises(ValueError):
-        CleavedGen(nested, Matching.empty(), ())  # n mismatch
+        CleavedGen(nested, Matching(0, ()), ())  # n mismatch
     # values equal to +1 or -1 pass, as they always have
     assert CleavedGen(nested, nested, (True, -1)) == CleavedGen(nested, nested, (1, -1))
     assert CleavedGen(nested, nested, (1.0, -1)) == CleavedGen(nested, nested, (1, -1))
@@ -92,13 +92,13 @@ def test_decoration_validation():
 
 @given(small_gens)
 def test_circles_partition_the_points(g):
-    seen = sorted(p for circle in g.circles() for p in circle)
+    seen = sorted(p for circle in circles_of(g.inside, g.outside) for p in circle)
     assert seen == list(range(1, 2 * g.n + 1))
 
 
 @given(small_gens)
 def test_circles_alternate_between_sides(g):
-    for circle in g.circles():
+    for circle in circles_of(g.inside, g.outside):
         pts = set(circle)
         for p in circle:
             assert g.inside.pairs[p - 1] in pts

@@ -208,10 +208,10 @@ def _counts_by_resolve(t: TangleDiagram) -> dict[CleavedGen, Counter]:
     far_matchings = enumerate_matchings(t.endpoints // 2)
     counts: dict[CleavedGen, Counter] = {}
     for rho in product((0, 1), repeat=len(t.crossings)):
-        state = resolve(t, rho)
-        how = (sum(rho), len(state.free_circles))
+        free, lam = resolve(t, rho)
+        how = (sum(rho), len(free))
         for far in far_matchings:
-            ins, outs = (state.lam, far) if t.side == "inside" else (far, state.lam)
+            ins, outs = (lam, far) if t.side == "inside" else (far, lam)
             for decs in product((1, -1), repeat=len(_cut_circles(ins, outs))):
                 counts.setdefault(CleavedGen(ins, outs, decs), Counter())[how] += 1
     return counts

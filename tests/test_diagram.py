@@ -65,6 +65,78 @@ def test_validate_rejects_bad_sign_and_slots():
         TangleDiagram("x", "inside", 0, (Crossing(1, (0, 1, 1, 0)),), 0, {})
 
 
+def _one_crossing(sign=1, slots=(2, 3, 4, 1), endpoints=4, loops=0, boundary=None):
+    # t_left, with any of its fields replaced
+    boundary = {1: 1, 2: 2, 3: 3, 4: 4} if boundary is None else boundary
+    return TangleDiagram("x", "inside", endpoints, (Crossing(sign, slots),), loops, boundary)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (
+            dict(sign=True, slots=(True, 2, 2, 3), endpoints=2, boundary={1: True, 2: 3}),
+            "crossing 1 has sign True, expected +1 or -1; "
+            "crossing 1 has edge label True, expected an integer; "
+            "boundary point 1 has edge label True, expected an integer",
+        ),
+        (dict(sign=1.0), "crossing 1 has sign 1.0, expected +1 or -1"),
+        (dict(loops=True), "loop count must be an integer, got True"),
+        (dict(slots=[2, 3, 4, 1]), "crossing 1 has slots [2, 3, 4, 1], expected a tuple"),
+        (dict(endpoints=2.0), "endpoints must be an integer, got 2.0"),
+        (dict(boundary={1.0: 1, 2: 2, 3: 3, 4: 4}), "boundary names point 1.0, expected an integer"),
+        (dict(loops=0.0), "loop count must be an integer, got 0.0"),
+        (dict(slots=(2, "3", 4, 1)), "crossing 1 has edge label '3', expected an integer"),
+    ],
+    ids=["bools", "float-sign", "bool-loops", "list-slots", "float-endpoints", "float-point",
+         "float-loops", "str-slot"],
+)
+def test_validate_wants_plain_integers(fields, message):
+    with pytest.raises(DiagramError) as err:
+        _one_crossing(**fields)
+    assert str(err.value) == message
+
+
+# t_left's fields: sign, four slots, endpoints, loops, then each boundary
+# point followed by its edge label
+_T_LEFT_FIELDS = (1, 2, 3, 4, 1, 4, 0, 1, 1, 2, 2, 3, 3, 4, 4)
+
+
+# What a field becomes: another int, or a bool, float or string equal to
+# its value where one can be, or None.
+_STAND_INS = {
+    "int": lambda v: v + 1,
+    "bool": lambda v: v == 1,
+    "float": float,
+    "str": str,
+    "None": lambda v: None,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.integers(0, len(_T_LEFT_FIELDS) - 1),
+        st.sampled_from(sorted(_STAND_INS)),
+        min_size=1,
+        max_size=2,
+    ),
+    st.sampled_from([tuple, list]),
+)
+def test_building_raises_only_diagram_errors(changes, container):
+    f = list(_T_LEFT_FIELDS)
+    for i, kind in changes.items():
+        f[i] = _STAND_INS[kind](f[i])
+    try:
+        t = _one_crossing(f[0], container(f[1:5]), f[5], f[6], dict(zip(f[7::2], f[8::2])))
+    except DiagramError:
+        return
+    (crossing,) = t.crossings
+    values = [t.endpoints, t.loops, crossing.sign, *crossing.slots]
+    values += [*t.boundary, *t.boundary.values()]
+    assert type(crossing.slots) is tuple and all(type(x) is int for x in values)
+
+
 def test_crossing_counts():
     assert crossing_counts(corpus_tangle("hopf")) == (2, 0)
     assert crossing_counts(corpus_tangle("kt_inside")) == (3, 3)
@@ -73,26 +145,26 @@ def test_crossing_counts():
 
 def test_resolve_single_crossing_tangle():
     t = corpus_tangle("t_left")
-    r0 = resolve(t, (0,))
-    assert r0.lam == Matching.decode((4, 2))
-    assert r0.free_circles == ()
-    r1 = resolve(t, (1,))
-    assert r1.lam == Matching.decode((2, 4))
-    assert r1.free_circles == ()
+    free0, lam0 = resolve(t, (0,))
+    assert lam0 == Matching.decode((4, 2))
+    assert free0 == ()
+    free1, lam1 = resolve(t, (1,))
+    assert lam1 == Matching.decode((2, 4))
+    assert free1 == ()
 
 
 def test_resolve_counts_free_circles():
     t = corpus_tangle("hopf")
-    assert [len(resolve(t, rho).free_circles) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))] == [
+    assert [len(resolve(t, rho)[0]) for rho in ((0, 0), (0, 1), (1, 0), (1, 1))] == [
         2,
         1,
         1,
         2,
     ]
     unknot = corpus_tangle("unknot")
-    state = resolve(unknot, ())
-    assert len(state.free_circles) == 1
-    assert state.lam == Matching.empty()
+    free, lam = resolve(unknot, ())
+    assert len(free) == 1
+    assert lam == Matching(0, ())
 
 
 def test_resolve_validates_rho():
@@ -129,9 +201,9 @@ def test_every_corpus_resolution_is_planar():
         t = corpus_tangle(name)
         boundary_edges = set(t.boundary.values())
         for rho in product((0, 1), repeat=len(t.crossings)):
-            state = resolve(t, rho)
-            assert state.lam.n == t.endpoints // 2
-            circles = list(state.free_circles)
+            free, lam = resolve(t, rho)
+            assert lam.n == t.endpoints // 2
+            circles = list(free)
             for k, circle in enumerate(circles):
                 assert not circle & boundary_edges
                 for other in circles[k + 1 :]:
@@ -139,8 +211,8 @@ def test_every_corpus_resolution_is_planar():
 
 
 def _agrees_with_oracle(t: TangleDiagram, rho: tuple[int, ...]) -> None:
-    state = resolve(t, rho)
-    assert (len(state.free_circles), state.lam) == _smooth(t, rho)
+    free, lam = resolve(t, rho)
+    assert (len(free), lam) == _smooth(t, rho)
     # the circles are the oracle's components that miss the boundary, by
     # smallest label, then one empty set per crossingless loop
     parent = joined_edges(t, rho)
@@ -149,7 +221,7 @@ def _agrees_with_oracle(t: TangleDiagram, rho: tuple[int, ...]) -> None:
         components.setdefault(_find(parent, e), set()).add(e)
     strands = {_find(parent, e) for e in t.boundary.values()}
     circles = sorted((frozenset(c) for r, c in components.items() if r not in strands), key=min)
-    assert state.free_circles == tuple(circles) + (frozenset(),) * t.loops
+    assert free == tuple(circles) + (frozenset(),) * t.loops
 
 
 def test_resolve_agrees_with_the_oracle_on_the_corpus():

@@ -58,7 +58,7 @@ def test_smooth_crossing_matches_resolve_circle_counts():
             for bit in rho:
                 smoothed = smooth_crossing(smoothed, 0, bit)
             assert smoothed.crossings == ()
-            assert smoothed.loops == len(resolve(t, rho).free_circles)
+            assert smoothed.loops == len(resolve(t, rho)[0])
 
 
 def test_smoothing_preserves_validity_and_boundary():

@@ -65,7 +65,7 @@ def _retrace_rotation(g: CleavedGen, steps: int, labels: tuple) -> tuple:
     outs = rotate_matching(g.outside, steps)
     position = {min(circle): i for i, circle in enumerate(circles_of(ins, outs))}
     out = [None] * len(labels)
-    for label, circle in zip(labels, g.circles()):
+    for label, circle in zip(labels, circles_of(g.inside, g.outside)):
         out[position[min(rotate_point(p, steps, g.n) for p in circle)]] = label
     return tuple(out)
 

@@ -16,6 +16,7 @@ from tanglejones import (
     rotate_matching,
     rotate_point,
 )
+from tanglejones.planar import _matchings
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -30,11 +31,19 @@ def test_counts_are_catalan():
 
 
 def test_empty_matching():
-    m = Matching.empty()
+    m = Matching(0, ())
     assert m.n == 0
     assert m.pairs == ()
     assert m.encode() == ()
     assert str(m) == ""
+
+
+def test_negative_sizes_are_rejected_and_not_cached():
+    before = _matchings.cache_info().currsize
+    for n in (-1, -7):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            enumerate_matchings(n)
+    assert _matchings.cache_info().currsize == before
 
 
 def test_decode_encode():

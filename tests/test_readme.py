@@ -43,3 +43,12 @@ def test_readme_transcript(monkeypatch, capsys, command, expected):
     monkeypatch.chdir(ROOT)
     assert main(argv[1:]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    # Some editors start a UTF-8 file with a byte-order mark.
+    expected = dict(transcripts())["tanglejones jones corpus/trefoil.tangle"]
+    marked = tmp_path / "trefoil.tangle"
+    marked.write_bytes(b"\xef\xbb\xbf" + (ROOT / "corpus" / "trefoil.tangle").read_bytes())
+    assert main(["jones", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
