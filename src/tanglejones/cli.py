@@ -196,18 +196,20 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         raise ValueError(f"basis size must be nonnegative, got {args.n}")
     # Keys are written as they are rendered, so no basis-sized list is built.
     # They hold only [0-9,|+-] and brackets, so '"' + key + '"' is their JSON
-    # form and the output matches json.dumps byte for byte.
-    count = basis_count(args.n)
+    # form and the output matches json.dumps byte for byte.  JSON states the
+    # count before the keys; text counts them as it writes them.
     out = sys.stdout
     if args.json:
-        out.write(f'{{"n": {args.n}, "count": {count}, "keys": [')
+        out.write(f'{{"n": {args.n}, "count": {basis_count(args.n)}, "keys": [')
         sep = ""
         for key in basis_keys(args.n):
             out.write(f'{sep}"{key}"')
             sep = ", "
         out.write("]}\n")
     else:
-        out.writelines(f"{key}\n" for key in basis_keys(args.n))
+        count = 0
+        for count, key in enumerate(basis_keys(args.n), start=1):
+            out.write(f"{key}\n")
         out.write(f"count: {count}\n")
     return 0
 

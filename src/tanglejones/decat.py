@@ -39,6 +39,14 @@ state sums are the test suite's oracles, which list every decorated
 resolution one by one or rebuild the counts from
 :func:`~tanglejones.diagram.resolve`.
 
+A process remembers the walk's counts for its last ``_CLOSED_MEMO`` (32)
+closed diagrams, so ``jones``, ``bracket`` and ``decat_vector`` on a closed
+diagram evaluated a moment before skip the cube.  The key is all the walk
+reads, the loop count and the compiled arrays; the name and the crossing
+signs enter only after the walk, so they stay out of it.  A closed result
+is one generator with O(c^2) (ones, free) pairs.  A tangle's counts can
+cover tens of thousands of generators, so tangles are always walked afresh.
+
 The positive Hopf link, glued from two one-crossing tangles:
 
 >>> from tanglejones.cli import parse_tangle
@@ -52,9 +60,11 @@ q^6 + q^4 + q^2 + 1
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping
 
 from .cleaved import CleavedGen, circles_of
@@ -62,6 +72,7 @@ from .diagram import (
     _MAX_STATES,
     DiagramError,
     TangleDiagram,
+    _Compiled,
     _partners,
     crossing_counts,
 )
@@ -79,6 +90,8 @@ __all__ = [
 ]
 
 _EMPTY_GEN = CleavedGen(Matching(0, ()), Matching(0, ()), ())
+# Closed-diagram state sums a process remembers, least recently used first out.
+_CLOSED_MEMO = 32
 
 
 class DecatVector:
@@ -141,14 +154,18 @@ class DecatVector:
         return f"<DecatVector n={self.n}, {len(self._coeffs)} generators>"
 
 
-def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], int]]:
+def _state_counts(
+    compiled: _Compiled, loops: int, n: int, inside: bool
+) -> dict[CleavedGen, dict[tuple[int, int], int]]:
     """How many resolutions reach each boundary cleaved link, and how.
 
-    The one loop over the resolution cube.  Each resolution, glued along
-    every far-side matching and decorated on its cut circles, reaches one
-    boundary generator; it is counted there under the pair (number of
-    1-smoothings, number of free circles), which is all its contribution
-    depends on once the free circles are summed over their decorations.
+    The one loop over the resolution cube.  It reads a diagram's compiled
+    arrays, loop count, n and side ``inside`` and nothing else.  Each
+    resolution, glued along every far-side matching and decorated on its
+    cut circles, reaches one boundary generator; it is counted there under
+    the pair (number of 1-smoothings, number of free circles), which is all
+    its contribution depends on once the free circles are summed over their
+    decorations.
     A diagram whose 2^crossings x Catalan(n) x 2^n decorated resolutions
     exceed ``_MAX_STATES`` raises :class:`DiagramError` before any is
     visited: each of the Catalan(n) far matchings meets at most n cut
@@ -173,17 +190,15 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     k = 0..n, in ``product((1, -1), repeat=k)`` order, and a generator's
     count dictionary is made only the first time it is reached.
     """
-    labels, smoothings, ends = t._compiled
-    n = t.endpoints // 2
+    labels, smoothings, ends = compiled
     visits = 2 ** len(smoothings) * (comb(2 * n, n) // (n + 1)) * 2**n
     if visits > _MAX_STATES:
         raise DiagramError(
             f"the state sum visits 2^{len(smoothings)} x Catalan({n}) x 2^{n} = {visits} "
             f"states, over the limit of {_MAX_STATES}"
         )
-    free0 = len(labels) - n + t.loops
+    free0 = len(labels) - n + loops
     far_matchings = enumerate_matchings(n)
-    inside = t.side == "inside"
     # every cut-circle decoration of k circles, built once per call
     decorations = [list(product((1, -1), repeat=k)) for k in range(n + 1)]
     lams: dict[tuple[int, ...], Matching] = {}
@@ -241,6 +256,18 @@ def _state_counts(t: TangleDiagram) -> dict[CleavedGen, dict[tuple[int, int], in
     return counts
 
 
+@lru_cache(maxsize=_CLOSED_MEMO)
+def _closed_counts(loops: int, compiled: _Compiled) -> Mapping[tuple[int, int], int]:
+    """The (ones, free) counts of a closed diagram, remembered per process.
+
+    Keyed on all the walk reads, so diagrams that differ only in their name
+    or crossing signs share one entry.  The counts come back read-only,
+    because every later caller is handed the same mapping.  A diagram over
+    the state limit raises from the walk, and nothing is stored for it.
+    """
+    return MappingProxyType(_state_counts(compiled, loops, 0, True)[_EMPTY_GEN])
+
+
 def _state_sum(
     counts: Mapping[tuple[int, int], int], h0: int, e0: int, half2: int
 ) -> HalfLaurent:
@@ -266,11 +293,15 @@ def decat_vector(t: TangleDiagram) -> DecatVector:
     resolution that reaches it, the free circles summed over their
     decorations as powers of q + q^(-1).
     """
-    counts = _state_counts(t)
+    n = t.endpoints // 2
+    if n:
+        counts = _state_counts(t._compiled, t.loops, n, t.side == "inside")
+    else:
+        counts = {_EMPTY_GEN: _closed_counts(t.loops, t._compiled)}
     n_plus, n_minus = crossing_counts(t)
     h0, e0 = -n_minus, n_plus - 2 * n_minus
     return DecatVector(
-        t.endpoints // 2,
+        n,
         {g: _state_sum(by_how, h0, e0, sum(g.decs)) for g, by_how in counts.items()},
     )
 
@@ -312,4 +343,4 @@ def bracket(t: TangleDiagram) -> HalfLaurent:
     """
     if t.endpoints != 0:
         raise DiagramError(f"bracket needs a closed diagram, got {t.endpoints} endpoints")
-    return _state_sum(_state_counts(t)[_EMPTY_GEN], 0, 0, 0)
+    return _state_sum(_closed_counts(t.loops, t._compiled), 0, 0, 0)

@@ -170,6 +170,8 @@ def validate(t: TangleDiagram) -> list[str]:
             errors.append(f"boundary names point {p!r}, expected an integer")
         if type(e) is not int:
             errors.append(f"boundary point {p!r} has edge label {e!r}, expected an integer")
+        elif e < 1:
+            errors.append(f"boundary point {p!r} has a non-positive edge label")
     if type(t.endpoints) is int and all(type(p) is int for p in t.boundary):
         # The point count comes from the file, so missing points are
         # counted, never listed in full.

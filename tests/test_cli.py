@@ -126,6 +126,23 @@ def test_streamed_basis_matches_the_generators(capsys, n):
     assert out == json.dumps({"n": n, "count": len(keys), "keys": keys}) + "\n"
 
 
+@pytest.mark.parametrize("n, pairs", [(0, 1), (3, 25), (5, 1764)])
+def test_basis_walks_the_matching_pairs_once_in_text(monkeypatch, capsys, n, pairs):
+    # text counts the keys as it writes them; JSON states the count first
+    seen = []
+    real = cleaved._circle_count
+
+    def spy(inside, outside):
+        seen.append((inside, outside))
+        return real(inside, outside)
+
+    monkeypatch.setattr(cleaved, "_circle_count", spy)
+    for flag, walks in (([], 1), (["--json"], 2)):
+        seen.clear()
+        assert run(capsys, "basis", *flag, str(n))[0] == 0
+        assert len(seen) == walks * pairs == walks * len(set(seen))
+
+
 def test_basis_6_count(capsys):
     code, out, _ = run(capsys, "basis", "6")
     assert code == 0
@@ -134,9 +151,11 @@ def test_basis_6_count(capsys):
 
 
 def test_basis_leaves_no_cache_behind(capsys):
-    # The only cache kept across calls is one tuple of matchings per n; the
-    # library keeps nothing per pair of matchings or per generator.
+    # The only caches kept across calls are one tuple of matchings per n and
+    # the bounded memo of closed-diagram counts; the library keeps nothing
+    # per pair of matchings or per generator.
     planar._matchings.cache_clear()
+    decat._closed_counts.cache_clear()
     used = {5}
     for name in corpus_names():
         assert run(capsys, "decat", str(corpus_path(name)))[0] == 0
@@ -145,13 +164,20 @@ def test_basis_leaves_no_cache_behind(capsys):
     assert run(capsys, "basis", "--json", "5")[0] == 0
     assert not hasattr(cleaved.circles_of, "cache_info")
     assert planar._matchings.cache_info().currsize <= len(used)
+    # one entry for each of the ten closed corpus files, none for a tangle
+    memo = decat._closed_counts.cache_info()
+    assert (memo.maxsize, memo.currsize) == (decat._CLOSED_MEMO, 10) == (32, 10)
     cached = {
         f"{module.__name__}.{name}"
         for module in (cleaved, cli, decat, diagram, halfpoly, mutation, planar)
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_info")
     }
-    assert cached == {"tanglejones.planar._matchings", "tanglejones.cli._build_parser"}
+    assert cached == {
+        "tanglejones.planar._matchings",
+        "tanglejones.cli._build_parser",
+        "tanglejones.decat._closed_counts",
+    }
 
 
 def test_basis_rejects_negative(capsys):

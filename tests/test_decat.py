@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +14,7 @@ import pytest
 
 from tanglejones import (
     CleavedGen,
+    Crossing,
     DecatVector,
     DiagramError,
     HalfLaurent,
@@ -19,22 +23,28 @@ from tanglejones import (
     decat_vector,
     enumerate_matchings,
     jones,
+    mutation_check,
     pair,
     parse,
     resolve,
 )
+from tanglejones import decat
 from tanglejones.cli import main
-from tanglejones.decat import _state_counts
+from tanglejones.decat import _EMPTY_GEN, _closed_counts, _state_counts
 
 from .helpers import (
     _cut_circles,
+    braid_closure,
     cleaved_basis,
     corpus_names,
+    corpus_path,
     corpus_tangle,
     decat_of,
+    exhaustive_vector,
     generators,
     glue,
     random_braid_tangle,
+    tangle_text,
     with_extra_loop,
 )
 
@@ -228,7 +238,119 @@ def test_state_counts_match_resolve_state_by_state():
         (e, s) for e in (4, 6, 8) for s in ("inside", "outside")
     }
     for t in [corpus_tangle(name) for name in corpus_names()] + braids:
-        got, want = _state_counts(t), _counts_by_resolve(t)
+        got = _state_counts(t._compiled, t.loops, t.endpoints // 2, t.side == "inside")
+        want = _counts_by_resolve(t)
         assert got == want, t.name
         assert list(got) == list(want), t.name
         assert all(list(got[g]) == list(want[g]) for g in want), t.name
+
+
+def _sign_shift(t: TangleDiagram) -> HalfLaurent:
+    # c05's (-1)^(n-) q^(n+ - 2n-), which takes the bracket to the Jones polynomial
+    n_plus = sum(1 for c in t.crossings if c.sign > 0)
+    n_minus = len(t.crossings) - n_plus
+    return HalfLaurent({2 * (n_plus - 2 * n_minus): (-1) ** n_minus})
+
+
+def _memo() -> tuple[int, int, int]:
+    info = _closed_counts.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def test_closed_memo_keys_on_what_the_walk_reads():
+    """A closed knot and a copy with every sign flipped share one memo
+    entry: the bracket is the same, and each Jones polynomial is that
+    bracket times its own sign shift."""
+    t = corpus_tangle("kt_closed")
+    flipped = TangleDiagram(
+        "kt_flipped", t.side, 0, tuple(Crossing(-c.sign, c.slots) for c in t.crossings), t.loops
+    )
+    assert _sign_shift(t) != _sign_shift(flipped)
+    _closed_counts.cache_clear()
+    assert bracket(t) == bracket(flipped)
+    assert _memo() == (1, 1, 1)
+    assert jones(t) == _sign_shift(t) * bracket(t)
+    assert jones(flipped) == _sign_shift(flipped) * bracket(t)
+    assert _memo() == (5, 1, 1)
+
+
+def test_closed_memo_repeats_the_fresh_evaluation():
+    """Repeated jones, bracket and decat calls on kt_closed, served by the
+    memo, equal the first evaluation and the exhaustive oracle."""
+    t = corpus_tangle("kt_closed")
+    want = exhaustive_vector(t)
+    _closed_counts.cache_clear()
+    fresh = (jones(t), bracket(t), decat_vector(t))
+    assert fresh[0] == _sign_shift(t) * fresh[1] == want.get(_EMPTY_GEN)
+    assert fresh[2] == want
+    assert _memo() == (2, 1, 1)
+    for _ in range(3):
+        again = corpus_tangle("kt_closed")
+        assert (jones(again), bracket(again), decat_vector(again)) == fresh
+    assert _memo() == (11, 1, 1)
+    counts = _closed_counts(t.loops, t._compiled)
+    assert counts == _state_counts(t._compiled, t.loops, 0, True)[_EMPTY_GEN]
+    with pytest.raises(TypeError):
+        counts[(0, 0)] = 1  # every caller shares the one mapping
+
+
+def test_closed_memo_is_bounded_and_only_for_closed_diagrams(tmp_path, capsys):
+    k = decat._CLOSED_MEMO
+    _closed_counts.cache_clear()
+    # k + 1 distinct closed diagrams: the first one is dropped, the rest kept
+    loops = [TangleDiagram(f"loops{m}", "inside", 0, (), m) for m in range(k + 1)]
+    for d in loops:
+        jones(d)
+    assert _memo() == (0, k + 1, k)
+    bracket(loops[-1])
+    assert _memo() == (1, k + 1, k)
+    bracket(loops[0])
+    assert _memo() == (1, k + 2, k)
+
+    # tangles never reach the memo
+    before = _memo()
+    for name in ("t_left", "kt_inside", "kt_outside", "strand3_out"):
+        decat_vector(corpus_tangle(name))
+    pair(decat_of("kt_inside"), decat_of("kt_outside"))
+    mutation_check(corpus_tangle("kt_inside"))
+    assert _memo() == before
+
+    # a closed diagram over the state limit fails at once and is not stored
+    _closed_counts.cache_clear()
+    path = tmp_path / "chain25.tangle"
+    path.write_text(tangle_text(braid_closure("chain25", 2, [(0, 1)] * 25)))
+    for verb in ("jones", "bracket", "decat"):
+        start = time.perf_counter()
+        code = main([verb, str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "over the limit of 16777216" in capsys.readouterr().err
+    assert _memo()[2] == 0
+    assert main(["jones", str(corpus_path("trefoil"))]) == 0
+    assert _memo()[2] == 1
+
+
+def test_closed_memo_is_shared_safely_between_threads():
+    """Threads that evaluate more distinct closed diagrams than the memo
+    holds, in different orders and with frequent switches, all get the
+    values a single thread computes, and the memo stays within its bound."""
+    diagrams = [corpus_tangle(n) for n in ("unknot", "hopf", "trefoil", "kink_plus", "kink_minus")]
+    diagrams += [TangleDiagram(f"loops{m}", "inside", 0, (), m) for m in range(decat._CLOSED_MEMO)]
+    want = [(jones(d), bracket(d)) for d in diagrams]
+    _closed_counts.cache_clear()
+
+    def evaluate(seed: int) -> list[tuple[int, tuple[HalfLaurent, HalfLaurent]]]:
+        order = list(range(len(diagrams))) * 3
+        random.Random(seed).shuffle(order)
+        return [(i, (jones(diagrams[i]), bracket(diagrams[i]))) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(evaluate, s) for s in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == want[i] for result in results for i, got in result)
+    assert sum(len(result) for result in results) == 4 * 3 * len(diagrams)
+    assert _memo()[2] == decat._CLOSED_MEMO

@@ -65,6 +65,17 @@ def test_validate_rejects_bad_sign_and_slots():
         TangleDiagram("x", "inside", 0, (Crossing(1, (0, 1, 1, 0)),), 0, {})
 
 
+@pytest.mark.parametrize("label", [0, -5])
+def test_validate_rejects_non_positive_boundary_labels(label):
+    # the text format and crossing slots allow only labels from 1 up
+    with pytest.raises(DiagramError) as err:
+        TangleDiagram("x", "inside", 2, (), 0, {1: label, 2: label})
+    assert str(err.value) == (
+        "boundary point 1 has a non-positive edge label; "
+        "boundary point 2 has a non-positive edge label"
+    )
+
+
 def _one_crossing(sign=1, slots=(2, 3, 4, 1), endpoints=4, loops=0, boundary=None):
     # t_left, with any of its fields replaced
     boundary = {1: 1, 2: 2, 3: 3, 4: 4} if boundary is None else boundary
