@@ -74,7 +74,6 @@ from .diagram import (
     TangleDiagram,
     _Compiled,
     _partners,
-    crossing_counts,
 )
 # Unused here: perfbench/trace.py wraps decat.resolve and its self-test reads it.
 from .diagram import resolve  # noqa: F401
@@ -89,7 +88,7 @@ __all__ = [
     "bracket",
 ]
 
-_EMPTY_GEN = CleavedGen(Matching(0, ()), Matching(0, ()), ())
+_EMPTY_GEN = CleavedGen(Matching(()), Matching(()), ())
 # Closed-diagram state sums a process remembers, least recently used first out.
 _CLOSED_MEMO = 32
 
@@ -97,9 +96,10 @@ _CLOSED_MEMO = 32
 class DecatVector:
     """A sparse vector over the decorated cleaved links on 2n points.
 
-    Generators with zero coefficient are never stored.  For vectors arising
-    from tangles, every exponent of the coefficient of a generator g is
-    congruent to (sum of g's decorations) / 2 modulo 1.
+    Every coefficient is a :class:`HalfLaurent`, and generators with zero
+    coefficient are never stored.  For vectors arising from tangles, every
+    exponent of the coefficient of a generator g is congruent to (sum of
+    g's decorations) / 2 modulo 1.
     """
 
     __slots__ = ("n", "_coeffs")
@@ -110,6 +110,8 @@ class DecatVector:
         for g, poly in coeffs.items():
             if g.n != n:
                 raise ValueError(f"generator {g.key()} does not live on {2 * n} points")
+            if not isinstance(poly, HalfLaurent):
+                raise TypeError(f"coefficient of {g.key()} is {poly!r}, not a HalfLaurent")
             if poly:
                 clean[g] = poly
         self._coeffs = clean
@@ -243,7 +245,7 @@ def _state_counts(
         partners = _partners(parent, ends)
         lam = lams.get(partners)
         if lam is None:
-            lam = lams[partners] = Matching(n, partners)
+            lam = lams[partners] = Matching(partners)
         for far in far_matchings:
             ins, outs = (lam, far) if inside else (far, lam)
             for cut_decs in decorations[len(circles_of(ins, outs))]:
@@ -298,7 +300,8 @@ def decat_vector(t: TangleDiagram) -> DecatVector:
         counts = _state_counts(t._compiled, t.loops, n, t.side == "inside")
     else:
         counts = {_EMPTY_GEN: _closed_counts(t.loops, t._compiled)}
-    n_plus, n_minus = crossing_counts(t)
+    n_plus = sum(1 for cr in t.crossings if cr.sign > 0)
+    n_minus = len(t.crossings) - n_plus
     h0, e0 = -n_minus, n_plus - 2 * n_minus
     return DecatVector(
         n,

@@ -48,7 +48,6 @@ __all__ = [
     "DiagramError",
     "validate",
     "resolve",
-    "crossing_counts",
 ]
 
 
@@ -117,11 +116,6 @@ class TangleDiagram:
         if errors:
             raise DiagramError("; ".join(errors))
         object.__setattr__(self, "_compiled", _compile(self))
-
-    def edge_labels(self) -> set[int]:
-        labels = {e for cr in self.crossings for e in cr.slots}
-        labels.update(self.boundary.values())
-        return labels
 
 
 def validate(t: TangleDiagram) -> list[str]:
@@ -248,7 +242,7 @@ def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
 
 
 def _compile(t: TangleDiagram) -> _Compiled:
-    labels = tuple(sorted(t.edge_labels()))
+    labels = tuple(sorted({*t.boundary.values(), *(e for cr in t.crossings for e in cr.slots)}))
     index = {e: i for i, e in enumerate(labels)}
     smoothings = []
     for cr in t.crossings:
@@ -256,12 +250,6 @@ def _compile(t: TangleDiagram) -> _Compiled:
         smoothings.append(((a, b, c, d), (a, d, b, c)))
     ends = tuple((p, index[t.boundary[p]]) for p in sorted(t.boundary))
     return _Compiled(labels, tuple(smoothings), ends)
-
-
-def crossing_counts(t: TangleDiagram) -> tuple[int, int]:
-    """(positive, negative) crossing counts."""
-    plus = sum(1 for cr in t.crossings if cr.sign > 0)
-    return plus, len(t.crossings) - plus
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -332,4 +320,4 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> tuple[tuple[frozenset[int],
             circles.setdefault(root, []).append(label)
     free = [frozenset(edges) for edges in circles.values()]
     free.extend(frozenset() for _ in range(t.loops))
-    return tuple(free), Matching(t.endpoints // 2, _partners(parent, ends))
+    return tuple(free), Matching(_partners(parent, ends))

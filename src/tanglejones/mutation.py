@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .cleaved import CleavedGen, circles_of
 from .decat import DecatVector, decat_vector
 from .diagram import DiagramError, TangleDiagram
-from .planar import Matching, rotate_matching, rotate_point
+from .planar import Matching, _rotate_point, rotate_matching
 
 __all__ = ["MutationReport", "rotate_gen", "rotate_vector", "mutation_check"]
 
@@ -34,7 +34,7 @@ def rotate_gen(g: CleavedGen, steps: int) -> CleavedGen:
     smallest points.
     """
     moved = sorted(
-        (min(rotate_point(p, steps, g.n) for p in circle), dec)
+        (min(_rotate_point(p, steps, g.n) for p in circle), dec)
         for circle, dec in zip(circles_of(g.inside, g.outside), g.decs)
     )
     ins = rotate_matching(g.inside, steps)

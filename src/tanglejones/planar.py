@@ -24,7 +24,6 @@ __all__ = [
     "Matching",
     "enumerate_matchings",
     "rotate_matching",
-    "rotate_point",
 ]
 
 
@@ -32,25 +31,24 @@ __all__ = [
 class Matching:
     """A non-crossing perfect matching of the points 1..2n.
 
-    ``pairs[p - 1]`` is the partner of point ``p``.  Construction validates
-    that the pairing is a fixed-point-free involution, joins odd points to
-    even points, and has no interleaved arcs, then computes the hash once:
-    matchings are dictionary keys, alone and inside every cleaved generator,
-    so each lookup returns the stored value instead of hashing the fields
-    again.  Equality still compares the fields.
+    ``pairs[p - 1]`` is the partner of point ``p``, and ``n`` is half the
+    number of points, set on construction.  Construction validates that
+    every partner is a plain int and that the pairing is a fixed-point-free
+    involution, joins odd points to even points, and has no interleaved
+    arcs, then computes the hash once: matchings are dictionary keys, alone
+    and inside every cleaved generator, so each lookup returns the stored
+    value instead of hashing the fields again.  Equality still compares the
+    fields.
     """
 
-    n: int
     pairs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        total = 2 * self.n
-        if len(self.pairs) != total:
-            raise ValueError(f"expected {total} partner entries, got {len(self.pairs)}")
+        total = len(self.pairs)
         for p in range(1, total + 1):
             mate = self.pairs[p - 1]
+            if type(mate) is not int:
+                raise ValueError(f"point {p} pairs with {mate!r}, expected an integer")
             if not 1 <= mate <= total:
                 raise ValueError(f"point {p} pairs with {mate}, outside 1..{total}")
             if mate == p:
@@ -70,7 +68,8 @@ class Matching:
                 if not stack or stack[-1] != mate:
                     raise ValueError(f"arcs interleave at point {p}")
                 stack.pop()
-        # not a field: equality, repr and fields() see only n and pairs
+        # not fields: equality, repr and fields() see only pairs
+        object.__setattr__(self, "n", total // 2)
         object.__setattr__(self, "_hash", hash(self.pairs))
 
     def __hash__(self) -> int:
@@ -88,19 +87,20 @@ class Matching:
     def decode(cls, code: Sequence[int]) -> Matching:
         """The matching whose arc from point 2k-1 ends at code[k-1].
 
-        Rejects tuples that are not permutations of the even numbers and
-        encodings whose arcs would cross.
+        Rejects codes whose entries are not plain ints forming a
+        permutation of the even numbers, and encodings whose arcs would
+        cross.
         """
         code = tuple(code)
         n = len(code)
-        if sorted(code) != list(range(2, 2 * n + 1, 2)):
+        if any(type(e) is not int for e in code) or sorted(code) != list(range(2, 2 * n + 1, 2)):
             raise ValueError(f"encoding {code} is not a permutation of the even numbers 2..{2 * n}")
         pairs = [0] * (2 * n)
         for k, even in enumerate(code):
             odd = 2 * k + 1
             pairs[odd - 1] = even
             pairs[even - 1] = odd
-        return cls(n, tuple(pairs))
+        return cls(tuple(pairs))
 
     @cached_property
     def _text(self) -> str:
@@ -131,7 +131,7 @@ def _matchings(n: int) -> tuple[Matching, ...]:
         pairs = [0] * (2 * n)
         for a, b in arcs:
             pairs[a - 1], pairs[b - 1] = b, a
-        ms.append(Matching(n, tuple(pairs)))
+        ms.append(Matching(tuple(pairs)))
     return tuple(sorted(ms, key=Matching.encode))
 
 
@@ -143,21 +143,23 @@ def enumerate_matchings(n: int) -> list[Matching]:
     >>> [str(m) for m in enumerate_matchings(2)]
     ['2,4', '4,2']
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return list(_matchings(n))
 
 
-def rotate_point(p: int, steps: int, n: int) -> int:
+def _rotate_point(p: int, steps: int, n: int) -> int:
     """Relabel point p after moving the marked point by the given steps.
 
     One step moves the marked point one boundary segment counterclockwise,
     which decrements every label by one: the old point 2 becomes the new
-    point 1.
+    point 1.  Callers pass n >= 1.
     """
     return (p - steps - 1) % (2 * n) + 1
 
 
 def rotate_matching(m: Matching, steps: int) -> Matching:
-    """The same arcs after relabeling every point with :func:`rotate_point`.
+    """The same arcs after moving the marked point by the given steps.
 
     The new point p was the old point p + steps (cyclically), and its
     partner is that point's old partner, relabeled.  Rotation preserves the
@@ -167,5 +169,5 @@ def rotate_matching(m: Matching, steps: int) -> Matching:
     '2,4'
     """
     total = 2 * m.n
-    pairs = tuple(rotate_point(m.pairs[(i + steps) % total], steps, m.n) for i in range(total))
-    return Matching(m.n, pairs)
+    pairs = tuple(_rotate_point(m.pairs[(i + steps) % total], steps, m.n) for i in range(total))
+    return Matching(pairs)

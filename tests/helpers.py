@@ -55,6 +55,11 @@ def decat_of(name: str) -> DecatVector:
     return decat_vector(corpus_tangle(name))
 
 
+def edge_labels(t: TangleDiagram) -> set[int]:
+    """Every edge label of t, from its crossing slots and boundary."""
+    return {e for c in t.crossings for e in c.slots} | set(t.boundary.values())
+
+
 def _find(parent: dict[int, int], x: int) -> int:
     parent.setdefault(x, x)
     while parent[x] != x:
@@ -89,7 +94,7 @@ def _smooth(t: TangleDiagram, rho: tuple[int, ...]) -> tuple[int, Matching]:
     pairs = [0] * t.endpoints
     for a, b in ends.values():
         pairs[a - 1], pairs[b - 1] = b, a
-    return len(roots - ends.keys()) + t.loops, Matching(t.endpoints // 2, tuple(pairs))
+    return len(roots - ends.keys()) + t.loops, Matching(tuple(pairs))
 
 
 def _cut_circles(inside: Matching, outside: Matching) -> tuple[tuple[int, ...], ...]:
@@ -210,9 +215,7 @@ def glue(inside: TangleDiagram, outside: TangleDiagram) -> TangleDiagram:
         raise ValueError("glue wants an inside tangle then an outside tangle")
     if inside.endpoints != outside.endpoints:
         raise ValueError("glue wants matching endpoint counts")
-    inside_labels = [e for c in inside.crossings for e in c.slots]
-    inside_labels += list(inside.boundary.values())
-    offset = max(inside_labels, default=0)
+    offset = max(edge_labels(inside), default=0)
 
     parent: dict[int, int] = {}
     for p in range(1, inside.endpoints + 1):
@@ -321,7 +324,7 @@ def braid(
 
 def shuffled(t: TangleDiagram, rng: random.Random) -> TangleDiagram:
     """The same diagram with edge labels permuted and crossings reordered."""
-    labels = sorted(t.edge_labels())
+    labels = sorted(edge_labels(t))
     fresh = rng.sample(range(1, len(labels) + 1), len(labels))
     to = dict(zip(labels, fresh))
     crossings = [Crossing(c.sign, tuple(to[e] for e in c.slots)) for c in t.crossings]

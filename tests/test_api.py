@@ -1,12 +1,14 @@
-"""The package's public names, and the public methods of its classes.
+"""The package's public names, the public methods of its classes and the
+fields of its dataclasses.
 
-Both lists are pinned so that adding or removing a name or a method is a
-visible edit here, made in the same change that adds or deletes it.
+All three are pinned so that adding or removing a name, a method or a field
+is a visible edit here, made in the same change that adds or deletes it.
 """
 
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields, is_dataclass
 from functools import cached_property
 
 import tanglejones
@@ -19,7 +21,6 @@ PUBLIC = [
     "Matching",
     "enumerate_matchings",
     "rotate_matching",
-    "rotate_point",
     "CleavedGen",
     "basis_count",
     "basis_keys",
@@ -29,7 +30,6 @@ PUBLIC = [
     "DiagramError",
     "validate",
     "resolve",
-    "crossing_counts",
     "DecatVector",
     "decat_vector",
     "pair",
@@ -49,10 +49,20 @@ METHODS = {
     "Matching": ["decode", "encode"],
     "CleavedGen": ["key", "n"],
     "Crossing": [],
-    "TangleDiagram": ["edge_labels"],
+    "TangleDiagram": [],
     "DiagramError": [],
     "DecatVector": ["get", "items", "render_text", "to_json"],
     "MutationReport": ["all_pass", "render", "to_json"],
+}
+
+# The init fields of each public dataclass, so that re-adding a field the
+# code can derive is a visible edit here.
+FIELDS = {
+    "Matching": ("pairs",),
+    "CleavedGen": ("inside", "outside", "decs"),
+    "Crossing": ("sign", "slots"),
+    "TangleDiagram": ("name", "side", "endpoints", "crossings", "loops", "boundary"),
+    "MutationReport": ("nested_symmetric", "parallel_symmetric", "rotation_invariant"),
 }
 
 _MEMBER_KINDS = (property, cached_property, classmethod, staticmethod)
@@ -60,7 +70,7 @@ _MEMBER_KINDS = (property, cached_property, classmethod, staticmethod)
 
 def test_public_names_are_pinned():
     assert tanglejones.__all__ == PUBLIC
-    assert len(PUBLIC) == 28
+    assert len(PUBLIC) == 26
 
 
 def test_every_public_name_resolves():
@@ -80,3 +90,12 @@ def test_public_methods_are_pinned():
                 and (inspect.isfunction(member) or isinstance(member, _MEMBER_KINDS))
             )
     assert found == METHODS
+
+
+def test_dataclass_fields_are_pinned():
+    found = {
+        name: tuple(f.name for f in fields(obj) if f.init)
+        for name in PUBLIC
+        if isinstance(obj := getattr(tanglejones, name), type) and is_dataclass(obj)
+    }
+    assert found == FIELDS

@@ -84,7 +84,9 @@ def test_decoration_validation():
         with pytest.raises(ValueError, match="decorations must be"):
             CleavedGen(nested, nested, (1, bad))
     with pytest.raises(ValueError):
-        CleavedGen(nested, Matching(0, ()), ())  # n mismatch
+        CleavedGen(nested, Matching(()), ())  # n mismatch
+    with pytest.raises(ValueError, match="must pair the same points"):
+        circles_of(nested, Matching(()))
     # values equal to +1 or -1 pass, as they always have
     assert CleavedGen(nested, nested, (True, -1)) == CleavedGen(nested, nested, (1, -1))
     assert CleavedGen(nested, nested, (1.0, -1)) == CleavedGen(nested, nested, (1, -1))

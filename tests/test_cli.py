@@ -73,7 +73,10 @@ def test_pair_json(capsys):
 def test_pair_rejects_swapped_sides(capsys):
     code, _, err = run(capsys, "pair", T_RIGHT, T_LEFT)
     assert code == 1
-    assert "side inside" in err
+    assert "first file must have side inside" in err
+    code, _, err = run(capsys, "pair", T_LEFT, T_LEFT)
+    assert code == 1
+    assert "second file must have side outside" in err
 
 
 def test_pair_rejects_mismatched_endpoints(capsys):

@@ -18,6 +18,7 @@ from tanglejones import (
     DecatVector,
     DiagramError,
     HalfLaurent,
+    Matching,
     TangleDiagram,
     bracket,
     decat_vector,
@@ -91,6 +92,16 @@ def test_vector_container_behavior():
     assert lines == sorted(lines)
     assert v == decat_vector(corpus_tangle("strand2"))
     assert v != decat_of("strand2_nested")
+
+
+def test_vector_rejects_wrong_generators_and_coefficients():
+    arc = Matching.decode((2,))
+    g = CleavedGen(arc, arc, (1,))
+    # an int coefficient would build and fail only when rendered
+    with pytest.raises(TypeError, match=r"^coefficient of \[2\|2\|\+\] is 5, not a HalfLaurent$"):
+        DecatVector(1, {g: 5})
+    with pytest.raises(ValueError, match=r"^generator \[2\|2\|\+\] does not live on 4 points$"):
+        DecatVector(2, {g: parse("q")})
 
 
 def test_keys_are_rendered_only_for_output(monkeypatch):

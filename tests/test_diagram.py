@@ -14,7 +14,6 @@ from tanglejones import (
     DiagramError,
     Matching,
     TangleDiagram,
-    crossing_counts,
     resolve,
     validate,
 )
@@ -44,6 +43,8 @@ def test_validate_reports_each_defect():
         TangleDiagram("x", "upside", 0, (), 0, {})
     with pytest.raises(DiagramError, match="endpoints must be even, got 3"):
         TangleDiagram("x", "inside", 3, (), 0, {})
+    with pytest.raises(DiagramError, match="^endpoints must be nonnegative, got -2$"):
+        TangleDiagram("x", "inside", -2, (), 0, {})
     with pytest.raises(DiagramError, match="loop count must be nonnegative, got -1"):
         TangleDiagram("x", "inside", 0, (), -1, {})
     with pytest.raises(DiagramError, match="^loop count 1001 exceeds the limit of 1000$"):
@@ -63,6 +64,8 @@ def test_validate_rejects_bad_sign_and_slots():
         TangleDiagram("x", "inside", 0, (Crossing(2, (1, 1, 2, 2)),), 0, {})
     with pytest.raises(DiagramError, match="crossing 1 has a non-positive edge label"):
         TangleDiagram("x", "inside", 0, (Crossing(1, (0, 1, 1, 0)),), 0, {})
+    with pytest.raises(DiagramError, match="^crossing 1 has 3 slots, expected 4; edge 2 has 1 ends"):
+        TangleDiagram("x", "inside", 0, (Crossing(1, (1, 1, 2)),), 0, {})
 
 
 @pytest.mark.parametrize("label", [0, -5])
@@ -148,12 +151,6 @@ def test_building_raises_only_diagram_errors(changes, container):
     assert type(crossing.slots) is tuple and all(type(x) is int for x in values)
 
 
-def test_crossing_counts():
-    assert crossing_counts(corpus_tangle("hopf")) == (2, 0)
-    assert crossing_counts(corpus_tangle("kt_inside")) == (3, 3)
-    assert crossing_counts(corpus_tangle("unknot")) == (0, 0)
-
-
 def test_resolve_single_crossing_tangle():
     t = corpus_tangle("t_left")
     free0, lam0 = resolve(t, (0,))
@@ -175,7 +172,7 @@ def test_resolve_counts_free_circles():
     unknot = corpus_tangle("unknot")
     free, lam = resolve(unknot, ())
     assert len(free) == 1
-    assert lam == Matching(0, ())
+    assert lam == Matching(())
 
 
 def test_resolve_validates_rho():

@@ -17,9 +17,9 @@ from tanglejones import (
     mutation_check,
     rotate_gen,
     rotate_matching,
-    rotate_point,
     rotate_vector,
 )
+from tanglejones.planar import _rotate_point
 
 from .helpers import cleaved_basis, corpus_names, corpus_tangle, decat_of
 
@@ -66,7 +66,7 @@ def _retrace_rotation(g: CleavedGen, steps: int, labels: tuple) -> tuple:
     position = {min(circle): i for i, circle in enumerate(circles_of(ins, outs))}
     out = [None] * len(labels)
     for label, circle in zip(labels, circles_of(g.inside, g.outside)):
-        out[position[min(rotate_point(p, steps, g.n) for p in circle)]] = label
+        out[position[min(_rotate_point(p, steps, g.n) for p in circle)]] = label
     return tuple(out)
 
 

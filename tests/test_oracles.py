@@ -27,6 +27,7 @@ from .helpers import (
     braid_tangle,
     corpus_names,
     corpus_tangle,
+    edge_labels,
     exhaustive_vector,
     glue,
     random_braid_tangle,
@@ -121,7 +122,7 @@ def colouring_determinant(t: TangleDiagram) -> int:
     for _, b, _, d in (cr.slots for cr in t.crossings):
         parent[_find(parent, b)] = _find(parent, d)
     column: dict[int, int] = {}
-    for e in sorted(t.edge_labels()):
+    for e in sorted(edge_labels(t)):
         column.setdefault(_find(parent, e), len(column))
     assert len(column) == len(t.crossings), "a knot has one over-arc per crossing"
     rows = []
@@ -247,7 +248,7 @@ def connected_sum(k1: TangleDiagram, k2: TangleDiagram) -> TangleDiagram:
     new edge runs from one knot to the other.  Construction runs the
     planarity check on the result.
     """
-    shift = max(k1.edge_labels())
+    shift = max(edge_labels(k1))
     moved = [Crossing(cr.sign, tuple(e + shift for e in cr.slots)) for cr in k2.crossings]
     e1, e2 = k1.crossings[0].slots[0], moved[0].slots[0]
     crossings, seen = [], set()
@@ -306,7 +307,7 @@ def kink(t: TangleDiagram, e: int, sign: int, flip: bool = False) -> TangleDiagr
     curl.  ``flip`` writes the opposite sign on the same curl, which no
     orientation can produce.
     """
-    top = max(t.edge_labels())
+    top = max(edge_labels(t))
     f, g = top + 1, top + 2
     crossings, boundary = list(t.crossings), dict(t.boundary)
     heads = [
@@ -340,7 +341,7 @@ def bigon(t: TangleDiagram, i: int, k: int, x_over: bool) -> TangleDiagram:
     cr = t.crossings[i]
     nxt = (k + 1) % 4
     x, y = cr.slots[k], cr.slots[nxt]
-    top = max(t.edge_labels())
+    top = max(edge_labels(t))
     x0, x1, y0, y1 = top + 1, top + 2, top + 3, top + 4
     slots = list(cr.slots)
     slots[k], slots[nxt] = x0, y0
@@ -368,7 +369,7 @@ def _moved(t: TangleDiagram, rng: random.Random, most: int) -> TangleDiagram:
         if corners and rng.random() < 0.5:
             t = bigon(t, *rng.choice(corners), rng.random() < 0.5)
         else:
-            t = kink(t, rng.choice(sorted(t.edge_labels())), rng.choice((1, -1)))
+            t = kink(t, rng.choice(sorted(edge_labels(t))), rng.choice((1, -1)))
     return parse_tangle(tangle_text(t))
 
 
@@ -408,7 +409,7 @@ def test_a_kink_of_the_wrong_sign_changes_the_invariant():
     every value by -q^(+-3)."""
     rng = random.Random(SEED + 5)
     for t, *_ in _move_cases():
-        e = rng.choice(sorted(t.edge_labels()))
+        e = rng.choice(sorted(edge_labels(t)))
         sign = rng.choice((1, -1))
         assert _value(kink(t, e, sign)) == _value(t), t.name
         assert _value(kink(t, e, sign, flip=True)) != _value(t), t.name

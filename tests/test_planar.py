@@ -14,9 +14,8 @@ from tanglejones import (
     circles_of,
     enumerate_matchings,
     rotate_matching,
-    rotate_point,
 )
-from tanglejones.planar import _matchings
+from tanglejones.planar import _matchings, _rotate_point
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -31,7 +30,7 @@ def test_counts_are_catalan():
 
 
 def test_empty_matching():
-    m = Matching(0, ())
+    m = Matching(())
     assert m.n == 0
     assert m.pairs == ()
     assert m.encode() == ()
@@ -64,19 +63,44 @@ def test_invalid_matchings_rejected():
     with pytest.raises(ValueError):
         Matching.decode((4, 4))  # reuses 4
     with pytest.raises(ValueError, match="same parity"):
-        Matching(2, (3, 4, 1, 2))  # arcs 1-3 and 2-4 break parity
+        Matching((3, 4, 1, 2))  # arcs 1-3 and 2-4 break parity
     with pytest.raises(ValueError, match="interleave"):
-        Matching(3, (4, 5, 6, 1, 2, 3))  # arcs 1-4, 3-6, 5-2: 1-4 and 3-6 interleave
+        Matching((4, 5, 6, 1, 2, 3))  # arcs 1-4, 3-6, 5-2: 1-4 and 3-6 interleave
+    with pytest.raises(ValueError, match="^point 1 pairs with 3, outside 1..2$"):
+        Matching((3, 1))
+    with pytest.raises(ValueError, match="^point 1 pairs with itself$"):
+        Matching((1, 2))
+    with pytest.raises(ValueError, match="^pairing is not an involution at point 1$"):
+        Matching((2, 3, 4, 1))
+    # an odd number of points has no fixed-point-free involution
+    with pytest.raises(ValueError, match="^pairing is not an involution at point 3$"):
+        Matching((2, 1, 2))
     # nesting is fine
-    assert Matching(3, (4, 3, 2, 1, 6, 5)).encode() == (4, 2, 6)
+    assert Matching((4, 3, 2, 1, 6, 5)).encode() == (4, 2, 6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Matching((2.0, 1)),
+        lambda: Matching((2, True)),
+        lambda: Matching.decode((2.0,)),
+        lambda: Matching.decode((4.0, 2)),
+    ],
+    ids=["float-partner", "bool-partner", "float-code", "float-nested-code"],
+)
+def test_entries_must_be_plain_ints(build):
+    # 2.0 == 2 and True == 1, so only the type check tells them apart
+    with pytest.raises(ValueError, match="expected an integer|not a permutation"):
+        build()
 
 
 def test_rotate_point_wraps():
-    assert rotate_point(1, 1, 2) == 4
-    assert rotate_point(2, 1, 2) == 1
-    assert rotate_point(4, 1, 2) == 3
-    assert rotate_point(1, -1, 2) == 2
-    assert [rotate_point(p, 2, 2) for p in (1, 2, 3, 4)] == [3, 4, 1, 2]
+    assert _rotate_point(1, 1, 2) == 4
+    assert _rotate_point(2, 1, 2) == 1
+    assert _rotate_point(4, 1, 2) == 3
+    assert _rotate_point(1, -1, 2) == 2
+    assert [_rotate_point(p, 2, 2) for p in (1, 2, 3, 4)] == [3, 4, 1, 2]
 
 
 @given(small_matchings)
@@ -103,8 +127,8 @@ def test_rotation_is_a_matching_bijection(m, steps):
     assert rotated.n == m.n
     assert rotate_matching(rotated, -steps) == m
     for p in range(1, 2 * m.n + 1):
-        image = rotate_point(p, steps, m.n)
-        assert rotate_point(m.pairs[p - 1], steps, m.n) == rotated.pairs[image - 1]
+        image = _rotate_point(p, steps, m.n)
+        assert _rotate_point(m.pairs[p - 1], steps, m.n) == rotated.pairs[image - 1]
 
 
 @given(small_matchings)
@@ -125,7 +149,7 @@ SMALL_MATCHINGS = [m for n in range(6) for m in enumerate_matchings(n)]
 def _fresh_copies(m):
     """Never-printed copies of m from each constructor, plus its rotations."""
     return [
-        Matching(m.n, m.pairs),
+        Matching(m.pairs),
         Matching.decode(m.encode()),
         *(rotate_matching(m, steps) for steps in range(1, 2 * m.n + 1)),
     ]
@@ -142,9 +166,9 @@ def test_encoding_and_text_form_follow_the_arcs():
 
 
 def test_rendering_leaves_fields_equality_and_hash_alone():
-    assert [f.name for f in fields(Matching)] == ["n", "pairs"]
+    assert [f.name for f in fields(Matching)] == ["pairs"]
     for m in SMALL_MATCHINGS:
-        rendered, plain = Matching(m.n, m.pairs), Matching(m.n, m.pairs)
+        rendered, plain = Matching(m.pairs), Matching(m.pairs)
         str(rendered)
         assert rendered == plain
         assert plain == rendered
