@@ -105,6 +105,8 @@ class DecatVector:
     __slots__ = ("n", "_coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[CleavedGen, HalfLaurent]):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vector size n must be a nonnegative integer, got {n!r}")
         self.n = n
         clean: dict[CleavedGen, HalfLaurent] = {}
         for g, poly in coeffs.items():

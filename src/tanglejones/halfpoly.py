@@ -19,15 +19,16 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-__all__ = ["HalfLaurent", "ZERO", "ONE", "parse"]
+__all__ = ["HalfLaurent", "ZERO", "parse"]
 
 
 class HalfLaurent:
     """An integer-coefficient Laurent polynomial in q^(1/2).
 
-    Values are immutable; every operation returns a new polynomial.  Zero
-    coefficients are never stored, so two values are equal exactly when
-    their term maps are equal.
+    Values are immutable.  The ring operations are ``+`` and ``*`` of two
+    polynomials, each returning a new one; any other operand, an int
+    included, raises ``TypeError``.  Zero coefficients are never stored, so
+    two values are equal exactly when their term maps are equal.
     """
 
     __slots__ = ("_terms",)
@@ -54,41 +55,20 @@ class HalfLaurent:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = HalfLaurent({0: int(other)})
         if not isinstance(other, HalfLaurent):
             return NotImplemented
         return self._terms == other._terms
 
-    def __neg__(self) -> HalfLaurent:
-        return HalfLaurent({e2: -c for e2, c in self._terms.items()})
-
-    def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __add__(self, other: HalfLaurent) -> HalfLaurent:
+        if not isinstance(other, HalfLaurent):
             return NotImplemented
         data = dict(self._terms)
         for e2, c in other._terms.items():
             data[e2] = data.get(e2, 0) + c
         return HalfLaurent(data)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other: HalfLaurent) -> HalfLaurent:
+        if not isinstance(other, HalfLaurent):
             return NotImplemented
         data: dict[int, int] = {}
         for e2a, ca in self._terms.items():
@@ -96,16 +76,6 @@ class HalfLaurent:
                 e2 = e2a + e2b
                 data[e2] = data.get(e2, 0) + ca * cb
         return HalfLaurent(data)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> HalfLaurent:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = ONE
-        for _ in range(k):
-            result = result * self
-        return result
 
     def render(self) -> str:
         """Canonical text form.
@@ -137,16 +107,7 @@ class HalfLaurent:
         return f"<HalfLaurent {self.render()}>"
 
 
-def _coerce(value: object) -> HalfLaurent:
-    if isinstance(value, HalfLaurent):
-        return value
-    if isinstance(value, int):
-        return HalfLaurent({0: int(value)})
-    return NotImplemented
-
-
 ZERO = HalfLaurent()
-ONE = HalfLaurent({0: 1})
 
 
 def _render_term(e2: int, mag: int) -> str:

@@ -31,14 +31,14 @@ def rotate_gen(g: CleavedGen, steps: int) -> CleavedGen:
 
     Both matchings rotate, and every circle is relabeled point by point and
     keeps its decoration; the decorations are reordered by the circles' new
-    smallest points.
+    smallest points.  Rotating the matchings first checks ``steps``.
     """
+    ins = rotate_matching(g.inside, steps)
+    outs = rotate_matching(g.outside, steps)
     moved = sorted(
         (min(_rotate_point(p, steps, g.n) for p in circle), dec)
         for circle, dec in zip(circles_of(g.inside, g.outside), g.decs)
     )
-    ins = rotate_matching(g.inside, steps)
-    outs = rotate_matching(g.outside, steps)
     return CleavedGen(ins, outs, tuple(dec for _, dec in moved))
 
 

@@ -33,9 +33,9 @@ class Matching:
 
     ``pairs[p - 1]`` is the partner of point ``p``, and ``n`` is half the
     number of points, set on construction.  Construction validates that
-    every partner is a plain int and that the pairing is a fixed-point-free
-    involution, joins odd points to even points, and has no interleaved
-    arcs, then computes the hash once: matchings are dictionary keys, alone
+    ``pairs`` is a tuple of plain ints and that the pairing is a
+    fixed-point-free involution, joins odd points to even points, and has
+    no interleaved arcs, then computes the hash once: matchings are dictionary keys, alone
     and inside every cleaved generator, so each lookup returns the stored
     value instead of hashing the fields again.  Equality still compares the
     fields.
@@ -44,6 +44,8 @@ class Matching:
     pairs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.pairs) is not tuple:
+            raise ValueError(f"pairs must be a tuple, got {self.pairs!r}")
         total = len(self.pairs)
         for p in range(1, total + 1):
             mate = self.pairs[p - 1]
@@ -143,6 +145,8 @@ def enumerate_matchings(n: int) -> list[Matching]:
     >>> [str(m) for m in enumerate_matchings(2)]
     ['2,4', '4,2']
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return list(_matchings(n))
@@ -168,6 +172,8 @@ def rotate_matching(m: Matching, steps: int) -> Matching:
     >>> str(rotate_matching(Matching.decode((4, 2)), 1))
     '2,4'
     """
+    if type(steps) is not int:
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     total = 2 * m.n
     pairs = tuple(_rotate_point(m.pairs[(i + steps) % total], steps, m.n) for i in range(total))
     return Matching(pairs)

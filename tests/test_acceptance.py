@@ -43,6 +43,7 @@ from .helpers import (
 SEED = 20260818
 
 Q = HalfLaurent({2: 1})
+MINUS_Q = HalfLaurent({2: -1})
 QINV = HalfLaurent({-2: 1})
 
 T_LEFT_VECTOR = """\
@@ -167,7 +168,7 @@ def test_c06_skein_relation():
         for idx in range(len(t.crossings)):
             zero = bracket(smooth_crossing(t, idx, 0))
             one = bracket(smooth_crossing(t, idx, 1))
-            assert bracket(t) == zero - Q * one, (name, idx)
+            assert bracket(t) == zero + MINUS_Q * one, (name, idx)
             checked += 1
     assert checked >= 13
 

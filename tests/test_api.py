@@ -16,7 +16,6 @@ import tanglejones
 PUBLIC = [
     "HalfLaurent",
     "ZERO",
-    "ONE",
     "parse",
     "Matching",
     "enumerate_matchings",
@@ -70,7 +69,7 @@ _MEMBER_KINDS = (property, cached_property, classmethod, staticmethod)
 
 def test_public_names_are_pinned():
     assert tanglejones.__all__ == PUBLIC
-    assert len(PUBLIC) == 26
+    assert len(PUBLIC) == 25
 
 
 def test_every_public_name_resolves():

@@ -14,6 +14,7 @@ from tanglejones import (
     Matching,
     MutationReport,
     circles_of,
+    enumerate_matchings,
     mutation_check,
     rotate_gen,
     rotate_matching,
@@ -83,6 +84,32 @@ def test_rotation_agrees_with_retracing_the_rotated_link():
             g = CleavedGen(m, m, decs)
             expected = CleavedGen(turned, turned, _retrace_rotation(g, steps, decs))
             assert rotate_gen(g, steps) == expected, (steps, decs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_matchings(True),
+        lambda: enumerate_matchings(2.0),
+        lambda: rotate_matching(Matching.decode((4, 2)), True),
+        lambda: rotate_matching(Matching(()), 1.0),
+        lambda: rotate_gen(GENS2["[4,2|4,2|+-]"], 1.0),
+        lambda: rotate_gen(CleavedGen(Matching(()), Matching(()), ()), True),
+    ],
+    ids=[
+        "bool-size",
+        "float-size",
+        "bool-steps",
+        "float-steps-empty",
+        "float-gen-steps",
+        "bool-gen-steps",
+    ],
+)
+def test_sizes_and_steps_must_be_plain_ints(call):
+    # True == 1 and 1.0 == 1, so without the type check these would rotate
+    # one step or index a tuple with a float
+    with pytest.raises(ValueError, match="^(n|steps) must be an integer, got (True|1.0|2.0)$"):
+        call()
 
 
 def test_rotate_vector_round_trip():

@@ -86,12 +86,22 @@ def test_invalid_matchings_rejected():
         lambda: Matching((2, True)),
         lambda: Matching.decode((2.0,)),
         lambda: Matching.decode((4.0, 2)),
+        lambda: Matching([2, 1]),
+        lambda: Matching(None),
     ],
-    ids=["float-partner", "bool-partner", "float-code", "float-nested-code"],
+    ids=[
+        "float-partner",
+        "bool-partner",
+        "float-code",
+        "float-nested-code",
+        "list-pairs",
+        "none-pairs",
+    ],
 )
 def test_entries_must_be_plain_ints(build):
-    # 2.0 == 2 and True == 1, so only the type check tells them apart
-    with pytest.raises(ValueError, match="expected an integer|not a permutation"):
+    # 2.0 == 2 and True == 1, so only the type check tells them apart; a
+    # list would fail only when hashed, and None when measured
+    with pytest.raises(ValueError, match="expected an integer|not a permutation|must be a tuple"):
         build()
 
 

@@ -1,4 +1,5 @@
-"""The README's command-line transcripts, replayed byte for byte."""
+"""The README's command-line transcripts, replayed byte for byte, and its
+library example, run as written."""
 
 from __future__ import annotations
 
@@ -52,3 +53,11 @@ def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
     marked.write_bytes(b"\xef\xbb\xbf" + (ROOT / "corpus" / "trefoil.tangle").read_bytes())
     assert main(["jones", str(marked)]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_library_example_prints_the_hopf_polynomial(monkeypatch, capsys):
+    # the pairing of t_left with t_right and the Hopf link's jones
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "q^6 + q^4 + q^2 + 1\n" * 2
