@@ -118,10 +118,13 @@ def _circle_count(inside: Matching, outside: Matching) -> int:
 def _basis_pairs(n: int) -> int:
     """Catalan(n)^2, the (inside, outside) pairs the basis on 2n points walks.
 
-    Raises ``ValueError`` once the count passes ``_MAX_STATES``, which
-    happens from n = 9 on.  The Catalan numbers grow one step at a time and
-    stop at the first one over the limit, so a huge n costs nothing.
+    Raises ``ValueError`` for an n that is not a plain int, and once the
+    count passes ``_MAX_STATES``, which happens from n = 9 on.  The Catalan
+    numbers grow one step at a time and stop at the first one over the
+    limit, so a huge n costs nothing.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     catalan = 1
     for k in range(1, n + 1):
         catalan = catalan * 2 * (2 * k - 1) // (k + 1)
@@ -167,7 +170,17 @@ def basis_keys(n: int) -> Iterator[str]:
     >>> list(basis_keys(1))
     ['[2|2|+]', '[2|2|-]']
     """
+    for head, tails in _key_blocks(n):
+        for tail in tails:
+            yield head + tail
+
+
+def _key_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
+    # One block per (inside, outside) pair, in basis order: the head
+    # "[inside|outside|" its keys share, and the 2^k decoration tails
+    # "signs]" of its k circles, a list built once per k and shared.
+    tails: dict[int, list[str]] = {}
     for inside, outside, k in _blocks(n):
-        head = f"[{inside}|{outside}|"
-        for signs in product("+-", repeat=k):
-            yield head + "".join(signs) + "]"
+        if k not in tails:
+            tails[k] = ["".join(signs) + "]" for signs in product("+-", repeat=k)]
+        yield f"[{inside}|{outside}|", tails[k]

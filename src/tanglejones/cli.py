@@ -33,10 +33,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from codecs import BOM_UTF8
 from functools import cache
 from pathlib import Path
 
-from .cleaved import basis_count, basis_keys
+from .cleaved import _key_blocks, basis_count
 from .decat import bracket, decat_vector, jones, pair
 from .diagram import Crossing, DiagramError, TangleDiagram
 from .halfpoly import HalfLaurent
@@ -45,6 +46,7 @@ from .mutation import mutation_check
 __all__ = ["ParseError", "parse_tangle", "load_tangle", "main"]
 
 _MANDATORY = ("tangle", "side", "endpoints")
+_SIGNS = {"+": 1, "-": -1}
 
 
 class ParseError(Exception):
@@ -56,9 +58,10 @@ class ParseError(Exception):
 
 
 def _positive_int(token: str, what: str, lineno: int, source: str) -> int:
-    if not token.isdecimal() or int(token) < 1:
+    value = int(token) if token.isdecimal() else 0
+    if value < 1:
         raise ParseError(lineno, f"{what} must be a positive integer, got {token!r}", source)
-    return int(token)
+    return value
 
 
 def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
@@ -68,6 +71,8 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
     :class:`DiagramError` from the diagram's construction when the parsed
     code breaks an invariant.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     name: str | None = None
     side: str | None = None
     endpoints: int | None = None
@@ -77,10 +82,9 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
     progress = 0
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         directive, args = tokens[0], tokens[1:]
         if progress < len(_MANDATORY):
             expected = _MANDATORY[progress]
@@ -88,7 +92,19 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
                 raise ParseError(lineno, f"expected '{expected}' directive, got '{directive}'", source)
         elif directive in _MANDATORY:
             raise ParseError(lineno, f"duplicate '{directive}' directive", source)
-        if directive == "tangle":
+        if directive == "cross":
+            if len(args) != 5:
+                raise ParseError(lineno, "'cross' takes a sign and four edge labels", source)
+            sign = _SIGNS.get(args[0])
+            if sign is None:
+                raise ParseError(lineno, f"crossing sign must be '+' or '-', got {args[0]!r}", source)
+            edges = args[1:]
+            # four decimal tokens read at once; a bad one is named below
+            slots = tuple(map(int, edges)) if "".join(edges).isdecimal() else (0,)
+            if 0 in slots:
+                slots = tuple([_positive_int(tok, "edge label", lineno, source) for tok in edges])
+            crossings.append(Crossing(sign, slots))
+        elif directive == "tangle":
             if len(args) != 1:
                 raise ParseError(lineno, "'tangle' takes exactly one identifier", source)
             name = args[0]
@@ -103,13 +119,6 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
                 raise ParseError(lineno, "'endpoints' takes one nonnegative integer", source)
             endpoints = int(args[0])
             progress = 3
-        elif directive == "cross":
-            if len(args) != 5:
-                raise ParseError(lineno, "'cross' takes a sign and four edge labels", source)
-            if args[0] not in ("+", "-"):
-                raise ParseError(lineno, f"crossing sign must be '+' or '-', got {args[0]!r}", source)
-            slots = tuple(_positive_int(tok, "edge label", lineno, source) for tok in args[1:])
-            crossings.append(Crossing(1 if args[0] == "+" else -1, slots))
         elif directive == "loop":
             if loops is not None:
                 raise ParseError(lineno, "duplicate 'loop' directive", source)
@@ -135,12 +144,21 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
 def load_tangle(path: str | Path) -> TangleDiagram:
     """Parse one UTF-8 tangle file into a diagram, which validates itself.
 
-    A byte-order mark is skipped.  A :class:`DiagramError` is raised again
-    with the path in front, and so is an undecodable file, as a ValueError.
+    The file is read once, as bytes, and closed before it is parsed.  A
+    byte-order mark is skipped, and line ends are whatever
+    :meth:`str.splitlines` splits on.  A :class:`DiagramError` is raised
+    again with the path in front, and so is an undecodable file, as a
+    ValueError.
     """
     path = Path(path)
+    with open(path, "rb", buffering=0) as file:
+        data = file.read()
+    # The mark is dropped before decoding, as the utf-8-sig codec does, and
+    # so is a file that stops inside one, as text-mode reading does.
+    if data[:3] == BOM_UTF8 or BOM_UTF8.startswith(data):
+        data = data[3:]
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = data.decode()
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from err
     try:
@@ -194,22 +212,24 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"basis size must be nonnegative, got {args.n}")
-    # Keys are written as they are rendered, so no basis-sized list is built.
-    # They hold only [0-9,|+-] and brackets, so '"' + key + '"' is their JSON
+    # Keys are written a block at a time, one string per (inside, outside)
+    # pair for its 2^k decorations, so no basis-sized list is built.  They
+    # hold only [0-9,|+-] and brackets, so '"' + key + '"' is their JSON
     # form and the output matches json.dumps byte for byte.  JSON states the
     # count before the keys; text counts them as it writes them.
     out = sys.stdout
     if args.json:
         out.write(f'{{"n": {args.n}, "count": {basis_count(args.n)}, "keys": [')
-        sep = ""
-        for key in basis_keys(args.n):
-            out.write(f'{sep}"{key}"')
-            sep = ", "
+        sep = '"'
+        for head, tails in _key_blocks(args.n):
+            out.write(sep + head + ('", "' + head).join(tails) + '"')
+            sep = ', "'
         out.write("]}\n")
     else:
         count = 0
-        for count, key in enumerate(basis_keys(args.n), start=1):
-            out.write(f"{key}\n")
+        for head, tails in _key_blocks(args.n):
+            out.write(head + ("\n" + head).join(tails) + "\n")
+            count += len(tails)
         out.write(f"count: {count}\n")
     return 0
 

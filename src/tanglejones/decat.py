@@ -32,8 +32,12 @@ joining each state from scratch takes two per crossing.  What is left per
 state is its bookkeeping: one walk of the boundary ends to their roots, and
 for each far matching one circle trace and one generator built and counted
 per cut-circle decoration.  The decorations, the side and the matchings'
-hashes are worked out once, not per state.  The counts then expand into
-polynomials with binomial coefficients.
+hashes are worked out once, not per state.  Every resolution that
+reaches the tangle's own-side boundary matching lambda reaches each
+generator over lambda, so all of them hold the same counts, and the
+coefficients are read once per boundary matching: the counts expand into
+one polynomial B(lambda) with binomial coefficients, and a generator over
+lambda carries B(lambda) times q^(sum of its decorations / 2).
 ``decat_vector`` and ``bracket`` both read that engine.  The only other
 state sums are the test suite's oracles, which list every decorated
 resolution one by one or rebuild the counts from
@@ -60,12 +64,12 @@ q^6 + q^4 + q^2 + 1
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
 
 from .cleaved import CleavedGen, circles_of
 from .diagram import (
@@ -107,6 +111,8 @@ class DecatVector:
     def __init__(self, n: int, coeffs: Mapping[CleavedGen, HalfLaurent]):
         if type(n) is not int or n < 0:
             raise ValueError(f"vector size n must be a nonnegative integer, got {n!r}")
+        if not isinstance(coeffs, Mapping):
+            raise TypeError(f"coeffs must be a mapping, got {type(coeffs).__name__}")
         self.n = n
         clean: dict[CleavedGen, HalfLaurent] = {}
         for g, poly in coeffs.items():
@@ -272,22 +278,21 @@ def _closed_counts(loops: int, compiled: _Compiled) -> Mapping[tuple[int, int], 
     return MappingProxyType(_state_counts(compiled, loops, 0, True)[_EMPTY_GEN])
 
 
-def _state_sum(
-    counts: Mapping[tuple[int, int], int], h0: int, e0: int, half2: int
-) -> HalfLaurent:
-    """Sum count * (-1)^(ones + h0) * q^(ones + e0 + half2/2) * (q + q^(-1))^free.
+def _state_sum(counts: Mapping[tuple[int, int], int], h0: int, e0: int) -> dict[int, int]:
+    """Sum count * (-1)^(ones + h0) * q^(ones + e0) * (q + q^(-1))^free.
 
     ``counts`` maps (ones, free) to a number of resolutions; the free-circle
-    weight is expanded by binomial coefficients.
+    weight is expanded by binomial coefficients.  The sum comes back as
+    doubled exponents mapped to coefficients, zeros not yet dropped.
     """
     terms: dict[int, int] = {}
     for (ones, free), count in counts.items():
         signed = -count if (ones + h0) % 2 else count
-        base2 = 2 * (ones + e0 + free) + half2
+        base2 = 2 * (ones + e0 + free)
         for j in range(free + 1):
             e2 = base2 - 4 * j
             terms[e2] = terms.get(e2, 0) + signed * comb(free, j)
-    return HalfLaurent(terms)
+    return terms
 
 
 def decat_vector(t: TangleDiagram) -> DecatVector:
@@ -295,20 +300,35 @@ def decat_vector(t: TangleDiagram) -> DecatVector:
 
     Each boundary generator collects (-1)^h * q^i from every decorated
     resolution that reaches it, the free circles summed over their
-    decorations as powers of q + q^(-1).
+    decorations as powers of q + q^(-1).  Every resolution reaching the
+    tangle's own-side matching lambda reaches each generator over lambda
+    once, so those generators share one count table and one sum B(lambda);
+    generator g carries q^(sum(g.decs)/2) * B(lambda).  The sum is expanded
+    once per lambda and shifted once per decoration sum.
     """
     n = t.endpoints // 2
+    inside = t.side == "inside"
     if n:
-        counts = _state_counts(t._compiled, t.loops, n, t.side == "inside")
+        counts = _state_counts(t._compiled, t.loops, n, inside)
     else:
         counts = {_EMPTY_GEN: _closed_counts(t.loops, t._compiled)}
     n_plus = sum(1 for cr in t.crossings if cr.sign > 0)
     n_minus = len(t.crossings) - n_plus
     h0, e0 = -n_minus, n_plus - 2 * n_minus
-    return DecatVector(
-        n,
-        {g: _state_sum(by_how, h0, e0, sum(g.decs)) for g, by_how in counts.items()},
-    )
+    sums: dict[Matching, dict[int, int]] = {}
+    shifted: dict[tuple[Matching, int], HalfLaurent] = {}
+    coeffs: dict[CleavedGen, HalfLaurent] = {}
+    for g, by_how in counts.items():
+        own = g.inside if inside else g.outside
+        key = (own, sum(g.decs))
+        poly = shifted.get(key)
+        if poly is None:
+            terms = sums.get(own)
+            if terms is None:
+                terms = sums[own] = _state_sum(by_how, h0, e0)
+            poly = shifted[key] = HalfLaurent({e2 + key[1]: c for e2, c in terms.items()})
+        coeffs[g] = poly
+    return DecatVector(n, coeffs)
 
 
 def pair(a: DecatVector, d: DecatVector) -> HalfLaurent:
@@ -348,4 +368,4 @@ def bracket(t: TangleDiagram) -> HalfLaurent:
     """
     if t.endpoints != 0:
         raise DiagramError(f"bracket needs a closed diagram, got {t.endpoints} endpoints")
-    return _state_sum(_closed_counts(t.loops, t._compiled), 0, 0, 0)
+    return HalfLaurent(_state_sum(_closed_counts(t.loops, t._compiled), 0, 0))

@@ -7,7 +7,10 @@ components cannot be expressed by crossing slots, so a separate loop count
 carries them.  The boundary map sends each point label to the edge ending
 there; every edge label must occur exactly twice across crossing slots and
 boundary entries.  A diagram checks all of this, and that its code has a
-planar drawing, when it is built, so no invalid diagram exists:
+planar drawing, when it is built, so no invalid diagram exists.  A sound
+code passes the per-crossing checks in one bulk test over its signs and
+slots, and only a code that fails it is walked crossing by crossing for
+the messages; the planarity check reuses the slot list that test built:
 
 >>> TangleDiagram("x", "inside", 0, (Crossing(1, (1, 2, 1, 2)),))  # doctest: +ELLIPSIS
 Traceback (most recent call last):
@@ -143,22 +146,37 @@ def validate(t: TangleDiagram) -> list[str]:
         errors.append(f"loop count must be nonnegative, got {t.loops}")
     elif t.loops > _MAX_LOOPS:
         errors.append(f"loop count {t.loops} exceeds the limit of {_MAX_LOOPS}")
-    labels = list(t.boundary.values())
-    for idx, cr in enumerate(t.crossings, start=1):
-        if type(cr.sign) is not int or cr.sign not in (1, -1):
-            errors.append(f"crossing {idx} has sign {cr.sign!r}, expected +1 or -1")
-        if type(cr.slots) is not tuple:
-            errors.append(f"crossing {idx} has slots {cr.slots!r}, expected a tuple")
-            labels.append(cr.slots)  # not an int: the edge count below is skipped
-            continue
-        if len(cr.slots) != 4:
-            errors.append(f"crossing {idx} has {len(cr.slots)} slots, expected 4")
-        elif any(type(e) is int and e < 1 for e in cr.slots):
-            errors.append(f"crossing {idx} has a non-positive edge label")
-        for e in cr.slots:
-            if type(e) is not int:
-                errors.append(f"crossing {idx} has edge label {e!r}, expected an integer")
-        labels += cr.slots
+    signs = [cr.sign for cr in t.crossings]
+    slots = [cr.slots for cr in t.crossings]
+    tuples = set(map(type, slots)) <= {tuple}
+    flat = [e for s in slots for e in s] if tuples else []
+    # One bulk test passes a sound code's crossings; only a code that fails
+    # it is walked crossing by crossing, for the messages.
+    if (
+        tuples
+        and set(map(len, slots)) <= {4}
+        and set(map(type, signs + flat)) <= {int}
+        and set(signs) <= {1, -1}
+        and min(flat, default=1) >= 1
+    ):
+        labels = flat + list(t.boundary.values())
+    else:
+        labels = list(t.boundary.values())
+        for idx, cr in enumerate(t.crossings, start=1):
+            if type(cr.sign) is not int or cr.sign not in (1, -1):
+                errors.append(f"crossing {idx} has sign {cr.sign!r}, expected +1 or -1")
+            if type(cr.slots) is not tuple:
+                errors.append(f"crossing {idx} has slots {cr.slots!r}, expected a tuple")
+                labels.append(cr.slots)  # not an int: the edge count below is skipped
+                continue
+            if len(cr.slots) != 4:
+                errors.append(f"crossing {idx} has {len(cr.slots)} slots, expected 4")
+            elif any(type(e) is int and e < 1 for e in cr.slots):
+                errors.append(f"crossing {idx} has a non-positive edge label")
+            for e in cr.slots:
+                if type(e) is not int:
+                    errors.append(f"crossing {idx} has edge label {e!r}, expected an integer")
+            labels += cr.slots
     for p, e in t.boundary.items():
         if type(p) is not int:
             errors.append(f"boundary names point {p!r}, expected an integer")
@@ -166,24 +184,27 @@ def validate(t: TangleDiagram) -> list[str]:
             errors.append(f"boundary point {p!r} has edge label {e!r}, expected an integer")
         elif e < 1:
             errors.append(f"boundary point {p!r} has a non-positive edge label")
-    if type(t.endpoints) is int and all(type(p) is int for p in t.boundary):
+    if type(t.endpoints) is int and set(map(type, t.boundary)) <= {int}:
         # The point count comes from the file, so missing points are
         # counted, never listed in full.
-        missing = max(t.endpoints, 0) - sum(1 for p in t.boundary if 1 <= p <= t.endpoints)
-        unmatched = (p for p in count(1) if p not in t.boundary)
-        for p in islice(unmatched, min(missing, _LISTED_POINTS)):
-            errors.append(f"boundary point {p} has no edge")
+        outside = sorted([p for p in t.boundary if not 1 <= p <= t.endpoints])
+        missing = max(t.endpoints, 0) - len(t.boundary) + len(outside)
+        if missing:
+            unmatched = (p for p in count(1) if p not in t.boundary)
+            for p in islice(unmatched, min(missing, _LISTED_POINTS)):
+                errors.append(f"boundary point {p} has no edge")
         if missing > _LISTED_POINTS:
             errors.append(f"and {missing - _LISTED_POINTS} more boundary points have no edge")
-        for p in sorted(p for p in t.boundary if not 1 <= p <= t.endpoints):
+        for p in outside:
             errors.append(f"boundary names point {p}, outside 1..{t.endpoints}")
-    if all(type(e) is int for e in labels):
+    if set(map(type, labels)) <= {int}:
         usage = Counter(labels)
-        for e in sorted(usage):
-            if usage[e] != 2:
-                errors.append(f"edge {e} has {usage[e]} ends, expected exactly 2")
+        if set(usage.values()) != {2}:
+            for e in sorted(usage):
+                if usage[e] != 2:
+                    errors.append(f"edge {e} has {usage[e]} ends, expected exactly 2")
     if not errors:
-        pieces, euler = _euler_characteristic(t)
+        pieces, euler = _euler_characteristic(t, flat)
         if euler != 2 * pieces:
             errors.append(
                 f"crossing code is not planar: V - E + F = {euler} over {pieces} "
@@ -192,42 +213,47 @@ def validate(t: TangleDiagram) -> list[str]:
     return errors
 
 
-def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
+def _euler_characteristic(t: TangleDiagram, flat: list[int]) -> tuple[int, int]:
     """(connected pieces, V - E + F) of a well-formed diagram on the sphere.
 
-    Vertices are the crossings plus, when there are endpoints, the boundary
-    circle collapsed to one vertex whose ports are the boundary points.
-    Port 4c + k is slot k of crossing c, and port 4C + p - 1 is point p.
-    Each face is traced by leaving a port along its edge and turning to the
-    next port counterclockwise around the vertex reached.  Seen from the
-    collapsed boundary the points run clockwise for an inside tangle and
+    ``flat`` lists the crossings' slots in order.  Vertices are the
+    crossings plus, when there are endpoints, the boundary circle collapsed
+    to one vertex whose ports are the boundary points.  Port 4c + k is slot
+    k of crossing c, and port 4C + p - 1 is point p.  Sorting the ports by
+    edge label puts the two ends of each edge side by side.  Each face is
+    traced by leaving a port along its edge and turning to the next port
+    counterclockwise around the vertex reached.  Seen from the collapsed
+    boundary the points run clockwise for an inside tangle and
     counterclockwise for an outside one.  The code is planar exactly when
     V - E + F = 2 for every connected piece.
     """
     crossings = len(t.crossings)
     base = 4 * crossings
-    ports = [e for cr in t.crossings for e in cr.slots]
-    ports.extend(t.boundary[p] for p in range(1, t.endpoints + 1))
+    ports = flat + [t.boundary[p] for p in range(1, t.endpoints + 1)]
     vertices = crossings + (1 if t.endpoints else 0)
     parent = list(range(vertices))
+    pieces = vertices
     other = [0] * len(ports)
-    first_end: dict[int, int] = {}
-    for port, e in enumerate(ports):
-        if e in first_end:
-            mate = first_end.pop(e)
-            other[port], other[mate] = mate, port
-            root = _root(parent, min(port // 4, crossings))
-            parent[root] = _root(parent, min(mate // 4, crossings))
-        else:
-            first_end[e] = port
-    pieces = sum(1 for v, up in enumerate(parent) if v == up)
+    by_edge = sorted(range(len(ports)), key=ports.__getitem__)
+    for port, mate in zip(by_edge[::2], by_edge[1::2]):
+        other[port], other[mate] = mate, port
+        # join the edge's two vertices, each walked to its root here: a
+        # _root call per end costs more than the rest of the loop
+        a = port >> 2 if port < base else crossings
+        b = mate >> 2 if mate < base else crossings
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            pieces -= 1
 
-    turn = [port - port % 4 + (port + 1) % 4 for port in range(base)] + [0] * t.endpoints
+    # around a crossing, slot k turns to slot k + 1 and slot 3 to slot 0
+    turn = list(range(1, base + 1))
+    turn[3::4] = range(0, base, 4)
     points = list(range(base, len(ports)))
-    if t.side == "inside":
-        points.reverse()
-    for i, port in enumerate(points):
-        turn[port] = points[(i + 1) % len(points)]
+    turn += points[-1:] + points[:-1] if t.side == "inside" else points[1:] + points[:1]
     faces = 0
     seen = [False] * len(ports)
     for start in range(len(ports)):
@@ -242,14 +268,14 @@ def _euler_characteristic(t: TangleDiagram) -> tuple[int, int]:
 
 
 def _compile(t: TangleDiagram) -> _Compiled:
-    labels = tuple(sorted({*t.boundary.values(), *(e for cr in t.crossings for e in cr.slots)}))
-    index = {e: i for i, e in enumerate(labels)}
-    smoothings = []
-    for cr in t.crossings:
-        a, b, c, d = (index[e] for e in cr.slots)
-        smoothings.append(((a, b, c, d), (a, d, b, c)))
-    ends = tuple((p, index[t.boundary[p]]) for p in sorted(t.boundary))
-    return _Compiled(labels, tuple(smoothings), ends)
+    flat = [e for cr in t.crossings for e in cr.slots]
+    labels = tuple(sorted({*flat, *t.boundary.values()}))
+    index = dict(zip(labels, range(len(labels))))
+    # one iterator read four at a time: a crossing's slots as indices
+    slots = map(index.__getitem__, flat)
+    smoothings = tuple([((a, b, c, d), (a, d, b, c)) for a, b, c, d in zip(slots, slots, slots, slots)])
+    ends = tuple([(p, index[t.boundary[p]]) for p in sorted(t.boundary)])
+    return _Compiled(labels, smoothings, ends)
 
 
 def _root(parent: list[int], x: int) -> int:

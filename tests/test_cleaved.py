@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,3 +130,12 @@ def test_streamed_keys_and_count_follow_the_generators():
         basis_count(-1)
     with pytest.raises(ValueError):
         list(basis_keys(-1))
+
+
+@pytest.mark.parametrize("n", [2.0, "3", True, None, 1.5])
+def test_basis_wants_a_plain_int(n):
+    message = f"^n must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        basis_count(n)
+    with pytest.raises(ValueError, match=message):
+        list(basis_keys(n))

@@ -437,6 +437,12 @@ def test_parse_tangle_comments_and_blanks():
         parse_tangle("tangle x\nside inside\nendpoints 0\nloop 1\nloop 1\n")
 
 
+@pytest.mark.parametrize("text", [None, b"tangle x\nside inside\nendpoints 0\n", 3])
+def test_parse_tangle_wants_text(text):
+    with pytest.raises(TypeError, match=f"^text must be a str, got {type(text).__name__}$"):
+        parse_tangle(text)
+
+
 def test_crossing_arity_and_sign(tmp_path, capsys):
     path = write(tmp_path, "tangle x\nside inside\nendpoints 0\ncross * 1 1 2 2\n")
     code, _, err = run(capsys, "decat", path)

@@ -102,6 +102,10 @@ def test_vector_rejects_wrong_generators_and_coefficients():
         DecatVector(1, {g: 5})
     with pytest.raises(ValueError, match=r"^generator \[2\|2\|\+\] does not live on 4 points$"):
         DecatVector(2, {g: parse("q")})
+    # the coefficients are read as a mapping, and a list of pairs is not one
+    for coeffs in (None, [(g, parse("q"))], 5):
+        with pytest.raises(TypeError, match=f"^coeffs must be a mapping, got {type(coeffs).__name__}$"):
+            DecatVector(1, coeffs)
     # 1.0 == 1 and True == 1 would pass the size check and be written out
     for n in (1.0, True, -1, None):
         with pytest.raises(ValueError, match="^vector size n must be a nonnegative integer, got "):
@@ -181,6 +185,26 @@ def test_vectors_carry_integer_coefficients_on_half_grid():
         for g, c in v.items():
             parities = {e % 2 for e in c.support()}
             assert len(parities) == 1
+
+
+def test_coefficients_factor_through_the_own_side_matching():
+    """Every generator over one own-side matching lambda (the inside
+    matching of an inside tangle, the outside one of an outside tangle)
+    carries q^(sum of its decorations / 2) times one polynomial of lambda.
+    So for g and g' over the same lambda,
+    coeff(g) * q^(decs(g')/2) = coeff(g') * q^(decs(g)/2), zeros included.
+    Checked on the exhaustive oracle and on the library's vector."""
+    rng = random.Random(25031)
+    braids = [random_braid_tangle(rng) for _ in range(16)]
+    for t in [corpus_tangle(name) for name in corpus_names()] + braids:
+        basis = cleaved_basis(t.endpoints // 2)
+        for v in (exhaustive_vector(t), decat_vector(t)):
+            first: dict[Matching, CleavedGen] = {}
+            for g in basis:
+                ref = first.setdefault(g.inside if t.side == "inside" else g.outside, g)
+                assert v.get(g) * HalfLaurent({sum(ref.decs): 1}) == v.get(ref) * HalfLaurent(
+                    {sum(g.decs): 1}
+                ), (t.name, g.key(), ref.key())
 
 
 def test_pair_recovers_jones_for_a_fresh_split():
