@@ -23,7 +23,7 @@ from typing import Iterator
 from .diagram import _MAX_STATES
 from .planar import Matching, enumerate_matchings
 
-__all__ = ["CleavedGen", "basis_count", "basis_keys", "circles_of"]
+__all__ = ["CleavedGen", "basis_count", "circles_of"]
 
 _SIGNS = {1: "+", -1: "-"}
 
@@ -150,8 +150,8 @@ def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
 def basis_count(n: int) -> int:
     """The number of decorated cleaved links on 2n points.
 
-    Like :func:`basis_keys`, it raises ``ValueError`` from n = 9 on, where
-    the Catalan(n)^2 matching pairs to walk pass ``_MAX_STATES``.
+    Raises ``ValueError`` from n = 9 on, where the Catalan(n)^2 matching
+    pairs to walk pass ``_MAX_STATES``.
 
     >>> [basis_count(n) for n in range(5)]
     [1, 2, 12, 104, 1092]
@@ -159,26 +159,11 @@ def basis_count(n: int) -> int:
     return sum(2**k for _, _, k in _blocks(n))
 
 
-def basis_keys(n: int) -> Iterator[str]:
-    """The keys of the decorated cleaved links on 2n points, one at a time.
-
-    Ordered lexicographically by inside encoding, then outside encoding,
-    then decorations with + before -.  Keys are rendered straight from the
-    matchings, so listing the basis builds no :class:`CleavedGen` and keeps
-    no key once it is yielded.
-
-    >>> list(basis_keys(1))
-    ['[2|2|+]', '[2|2|-]']
-    """
-    for head, tails in _key_blocks(n):
-        for tail in tails:
-            yield head + tail
-
-
 def _key_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
-    # One block per (inside, outside) pair, in basis order: the head
-    # "[inside|outside|" its keys share, and the 2^k decoration tails
-    # "signs]" of its k circles, a list built once per k and shared.
+    # One block per (inside, outside) pair: the head "[inside|outside|" its
+    # keys share, and the 2^k decoration tails "signs]" of its k circles, a
+    # list built once per k and shared.  Head + tail is a key; keys come in
+    # basis order: inside encoding, outside encoding, then + before -.
     tails: dict[int, list[str]] = {}
     for inside, outside, k in _blocks(n):
         if k not in tails:

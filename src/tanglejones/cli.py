@@ -57,8 +57,21 @@ class ParseError(Exception):
         self.line = line
 
 
+def _number(token: str, lineno: int, source: str) -> int:
+    """A decimal token as an int and any other token as -1.  Every number in
+    a file is read here; one with more digits than CPython's ``int`` takes
+    is a parse error that gives its length, not its digits."""
+    if not token.isdecimal():
+        return -1
+    try:
+        return int(token)
+    except ValueError:
+        message = f"number has {len(token)} digits, more than int() reads"
+        raise ParseError(lineno, message, source) from None
+
+
 def _positive_int(token: str, what: str, lineno: int, source: str) -> int:
-    value = int(token) if token.isdecimal() else 0
+    value = _number(token, lineno, source)
     if value < 1:
         raise ParseError(lineno, f"{what} must be a positive integer, got {token!r}", source)
     return value
@@ -98,11 +111,7 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
             sign = _SIGNS.get(args[0])
             if sign is None:
                 raise ParseError(lineno, f"crossing sign must be '+' or '-', got {args[0]!r}", source)
-            edges = args[1:]
-            # four decimal tokens read at once; a bad one is named below
-            slots = tuple(map(int, edges)) if "".join(edges).isdecimal() else (0,)
-            if 0 in slots:
-                slots = tuple([_positive_int(tok, "edge label", lineno, source) for tok in edges])
+            slots = tuple([_positive_int(tok, "edge label", lineno, source) for tok in args[1:]])
             crossings.append(Crossing(sign, slots))
         elif directive == "tangle":
             if len(args) != 1:
@@ -115,16 +124,16 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
             side = args[0]
             progress = 2
         elif directive == "endpoints":
-            if len(args) != 1 or not args[0].isdecimal():
+            endpoints = _number(args[0], lineno, source) if len(args) == 1 else -1
+            if endpoints < 0:
                 raise ParseError(lineno, "'endpoints' takes one nonnegative integer", source)
-            endpoints = int(args[0])
             progress = 3
         elif directive == "loop":
             if loops is not None:
                 raise ParseError(lineno, "duplicate 'loop' directive", source)
-            if len(args) != 1 or not args[0].isdecimal():
+            loops = _number(args[0], lineno, source) if len(args) == 1 else -1
+            if loops < 0:
                 raise ParseError(lineno, "'loop' takes one nonnegative integer", source)
-            loops = int(args[0])
         elif directive == "boundary":
             if len(args) != 2:
                 raise ParseError(lineno, "'boundary' takes a point and an edge label", source)

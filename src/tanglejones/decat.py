@@ -136,6 +136,7 @@ class DecatVector:
         return list(self._coeffs.items())
 
     def __len__(self) -> int:
+        # No verb calls this; perfbench/trace.py counts vector entries with it.
         return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:

@@ -317,7 +317,8 @@ def resolve(t: TangleDiagram, rho: Iterable[int]) -> tuple[tuple[frozenset[int],
     they come out ordered by smallest label.  The diagram is valid by
     construction, so every component is a closed loop or a strand with two
     boundary ends, and the planarity check makes the strands' matching
-    non-crossing.
+    non-crossing.  No verb calls this: tests check the state sum against
+    it, and ``perfbench``'s tracer wraps it and reads ``decat.resolve``.
 
     The Hopf link has two free circles when both crossings smooth alike
     and one otherwise:

@@ -5,8 +5,9 @@ Everything here is deliberately independent of the library internals it is
 used to check.  ``generators`` lists every decorated resolution with its own
 union-find, sharing no code with the library's state sum or ``resolve``, and
 ``cleaved_basis`` counts circles with ``_cut_circles``, sharing none with
-``basis_keys`` and ``basis_count``.  ``tangle_text`` writes the file format
-that ``parse_tangle`` reads.
+``basis_count`` and the key blocks ``basis`` writes.  ``tangle_text`` writes
+the file format that ``parse_tangle`` reads.  Polynomials are written as
+``HalfLaurent`` term maps; no text is parsed back into one.
 ``glue`` and ``smooth_crossing`` rebuild diagrams by edge relabeling alone,
 so pairing and skein identities compare the library against plain
 combinatorics rather than against itself.

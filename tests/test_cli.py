@@ -475,6 +475,35 @@ def test_non_decimal_digits_are_parse_errors(tmp_path, capsys, text, line):
     assert f"line {line}" in err
 
 
+_DIGITS = "7" * 5000  # past CPython's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (f"tangle x\nside inside\nendpoints {_DIGITS}\n", 3),
+        (f"tangle x\nside inside\nendpoints 0\nloop {_DIGITS}\n", 4),
+        (f"tangle x\nside inside\nendpoints 2\nboundary {_DIGITS} 1\n", 4),
+        (f"tangle x\nside inside\nendpoints 2\nboundary 1 {_DIGITS}\n", 4),
+        (f"tangle x\nside inside\nendpoints 0\ncross + 1 {_DIGITS} 2 1\n", 4),
+    ],
+    ids=["endpoints", "loop", "boundary-point", "boundary-edge", "cross"],
+)
+def test_overlong_numbers_are_parse_errors(tmp_path, capsys, text, line):
+    # one short line naming file and line, without the 5,000 digits
+    with pytest.raises(ParseError) as info:
+        parse_tangle(text)
+    assert info.value.line == line
+    path = write(tmp_path, text)
+    code, out, err = run(capsys, "decat", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}: line {line}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+    assert "7777" not in err
+
+
 @pytest.mark.parametrize(
     "argv", [["frob"], ["basis", "x"], []], ids=["unknown-verb", "bad-int", "no-verb"]
 )

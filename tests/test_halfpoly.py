@@ -1,12 +1,12 @@
-"""Half-integer Laurent polynomials: ring laws, grammar, round trips."""
+"""Half-integer Laurent polynomials: ring laws and canonical text."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglejones import ZERO, HalfLaurent, parse
+from tanglejones import ZERO, HalfLaurent
 
 ONE = HalfLaurent({0: 1})
 
@@ -16,11 +16,33 @@ polys = st.builds(
 )
 
 
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials: equal, unrelated, or apart in one coefficient or
+    one exponent.  A coefficient moves by 1 or 2 and an exponent by 1 or 2
+    or to its negative, the edits a careless render could hide."""
+    small = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4)
+    terms = draw(small)
+    other = dict(terms)
+    kind = draw(st.sampled_from(["equal", "unrelated", "coefficient", "exponent"]))
+    if kind == "unrelated":
+        other = draw(small)
+    elif kind != "equal" and other:
+        e2 = draw(st.sampled_from(sorted(other)))
+        if kind == "coefficient":
+            other[e2] += draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            moved = draw(st.sampled_from([-e2, e2 - 2, e2 - 1, e2 + 1, e2 + 2]))
+            c = other.pop(e2)
+            other[moved] = other.get(moved, 0) + c
+    return HalfLaurent(terms), HalfLaurent(other)
+
+
 def test_zero_and_one():
     assert not ZERO
     assert ONE
     assert HalfLaurent({3: 0}) == ZERO
-    assert parse("1") == ONE != ZERO
+    assert ONE != ZERO
 
 
 def test_coefficient_lookup():
@@ -42,21 +64,6 @@ def test_render_grammar():
     assert HalfLaurent({2: 1, 0: 1, -2: -1}).render() == "q + 1 - q^(-1)"
     assert HalfLaurent({12: 1, 8: 1, 4: 1, 0: 1}).render() == "q^6 + q^4 + q^2 + 1"
     assert HalfLaurent({1: 1, -1: 2}).render() == "q^(1/2) + 2*q^(-1/2)"
-
-
-def test_parse_grammar():
-    assert parse("0") == ZERO
-    assert parse("1") == ONE
-    assert parse("-1") == HalfLaurent({0: -1})
-    assert parse("q + 1 - q^(-1)") == HalfLaurent({2: 1, 0: 1, -2: -1})
-    assert parse("3*q^(5/2)") == HalfLaurent({5: 3})
-    assert parse("-q^9 + q^5 + q^3 + q") == HalfLaurent({18: -1, 10: 1, 6: 1, 2: 1})
-    with pytest.raises(ValueError):
-        parse("q^(4/2)")
-    with pytest.raises(ValueError):
-        parse("q +")
-    with pytest.raises(ValueError):
-        parse("2q")
 
 
 def test_int_and_bool_operands_are_refused():
@@ -110,6 +117,8 @@ def test_multiplicative_identity(a):
     assert a * ZERO == ZERO
 
 
-@given(polys)
-def test_render_parse_round_trip(a):
-    assert parse(a.render()) == a
+@settings(max_examples=400, derandomize=True)
+@given(poly_pairs())
+def test_render_tells_polynomials_apart(pair):
+    a, b = pair
+    assert (a.render() == b.render()) == (a == b)

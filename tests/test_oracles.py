@@ -26,7 +26,6 @@ from tanglejones import (
     bracket,
     decat_vector,
     jones,
-    parse,
 )
 from tanglejones.cli import parse_tangle
 
@@ -538,8 +537,8 @@ def pretzel_bracket(twists: list[int]) -> HalfLaurent:
     leaves r - |S| circles and S = all columns leaves two, hence
     Prod(alpha_j delta + beta_j) + (delta^2 - 1) Prod(beta_j).
     """
-    one, minus_q = parse("1"), parse("-q")
-    delta = parse("q + q^(-1)")
+    one, minus_q = HalfLaurent({0: 1}), HalfLaurent({2: -1})
+    delta = HalfLaurent({2: 1, -2: 1})
     closed, all_u = one, one
     for t in twists:
         x, y = (one, minus_q) if t > 0 else (minus_q, one)
@@ -548,7 +547,7 @@ def pretzel_bracket(twists: list[int]) -> HalfLaurent:
             alpha, beta = alpha * x, alpha * y + beta * (x + y * delta)
         closed = closed * (alpha * delta + beta)
         all_u = all_u * beta
-    return closed + parse("q^2 + 1 + q^(-2)") * all_u
+    return closed + HalfLaurent({4: 1, 0: 1, -4: 1}) * all_u
 
 
 def test_pretzel_bracket_is_a_product_over_columns():
