@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .diagram import _MAX_STATES
-from .planar import Matching, enumerate_matchings
+from .planar import _MAX_STATES, Matching, _catalans, enumerate_matchings
 
 __all__ = ["CleavedGen", "basis_count", "circles_of"]
 
@@ -126,8 +125,7 @@ def _basis_pairs(n: int) -> int:
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
     catalan = 1
-    for k in range(1, n + 1):
-        catalan = catalan * 2 * (2 * k - 1) // (k + 1)
+    for k, catalan in _catalans(n):
         if catalan * catalan > _MAX_STATES:
             at_least = "" if k == n else f" >= Catalan({k})^2"
             raise ValueError(

@@ -47,6 +47,8 @@ __all__ = ["ParseError", "parse_tangle", "load_tangle", "main"]
 
 _MANDATORY = ("tangle", "side", "endpoints")
 _SIGNS = {"+": 1, "-": -1}
+# The longest refused token a message quotes; a longer one is named by its length.
+_SHOWN = 64
 
 
 class ParseError(Exception):
@@ -55,6 +57,24 @@ class ParseError(Exception):
     def __init__(self, line: int, message: str, source: str = "<string>"):
         super().__init__(f"{source}: line {line}: {message}")
         self.line = line
+
+
+def _shown(token: str, as_repr: bool = True) -> str:
+    """A refused token as a message names it: quoted up to ``_SHOWN``
+    characters, by ``repr`` or else as is between single quotes, and by its
+    length past that."""
+    if len(token) > _SHOWN:
+        return f"a token of {len(token)} characters"
+    return repr(token) if as_repr else f"'{token}'"
+
+
+def _size(token: str) -> int:
+    """``int(token)`` for argparse, which words a refusal as it does for
+    ``type=int`` but names an overlong token by its length."""
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(token)}") from None
 
 
 def _number(token: str, lineno: int, source: str) -> int:
@@ -73,7 +93,7 @@ def _number(token: str, lineno: int, source: str) -> int:
 def _positive_int(token: str, what: str, lineno: int, source: str) -> int:
     value = _number(token, lineno, source)
     if value < 1:
-        raise ParseError(lineno, f"{what} must be a positive integer, got {token!r}", source)
+        raise ParseError(lineno, f"{what} must be a positive integer, got {_shown(token)}", source)
     return value
 
 
@@ -102,7 +122,8 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
         if progress < len(_MANDATORY):
             expected = _MANDATORY[progress]
             if directive != expected:
-                raise ParseError(lineno, f"expected '{expected}' directive, got '{directive}'", source)
+                got = _shown(directive, as_repr=False)
+                raise ParseError(lineno, f"expected '{expected}' directive, got {got}", source)
         elif directive in _MANDATORY:
             raise ParseError(lineno, f"duplicate '{directive}' directive", source)
         if directive == "cross":
@@ -110,7 +131,7 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
                 raise ParseError(lineno, "'cross' takes a sign and four edge labels", source)
             sign = _SIGNS.get(args[0])
             if sign is None:
-                raise ParseError(lineno, f"crossing sign must be '+' or '-', got {args[0]!r}", source)
+                raise ParseError(lineno, f"crossing sign must be '+' or '-', got {_shown(args[0])}", source)
             slots = tuple([_positive_int(tok, "edge label", lineno, source) for tok in args[1:]])
             crossings.append(Crossing(sign, slots))
         elif directive == "tangle":
@@ -143,7 +164,7 @@ def parse_tangle(text: str, source: str = "<string>") -> TangleDiagram:
                 raise ParseError(lineno, f"duplicate boundary line for point {point}", source)
             boundary[point] = edge
         else:
-            raise ParseError(lineno, f"unknown directive '{directive}'", source)
+            raise ParseError(lineno, f"unknown directive {_shown(directive, as_repr=False)}", source)
     if progress < len(_MANDATORY):
         raise ParseError(lineno + 1, f"missing '{_MANDATORY[progress]}' directive", source)
     assert name is not None and side is not None and endpoints is not None
@@ -272,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("jones", _cmd_jones, "Jones polynomial of a closed diagram").add_argument("file")
     add("bracket", _cmd_bracket, "unnormalized bracket of a closed diagram").add_argument("file")
     add("basis", _cmd_basis, "list the decorated cleaved links on 2N points").add_argument(
-        "n", type=int
+        "n", type=_size
     )
     add("mutate-check", _cmd_mutate_check, "mutation-invariance report").add_argument("file")
     return parser

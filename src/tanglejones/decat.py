@@ -73,7 +73,6 @@ from types import MappingProxyType
 
 from .cleaved import CleavedGen, circles_of
 from .diagram import (
-    _MAX_STATES,
     DiagramError,
     TangleDiagram,
     _Compiled,
@@ -82,7 +81,7 @@ from .diagram import (
 # Unused here: perfbench/trace.py wraps decat.resolve and its self-test reads it.
 from .diagram import resolve  # noqa: F401
 from .halfpoly import ZERO, HalfLaurent
-from .planar import Matching, enumerate_matchings
+from .planar import _MAX_STATES, Matching, enumerate_matchings
 
 __all__ = [
     "DecatVector",

@@ -26,6 +26,12 @@ __all__ = [
     "rotate_matching",
 ]
 
+# The state sum visits up to 2^crossings x Catalan(n) x 2^n decorated
+# resolutions, each far matching meeting at most n cut circles, at a few
+# microseconds each: 2^24 take minutes.  ``enumerate_matchings`` lists no
+# more matchings than this either.
+_MAX_STATES = 2**24
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -126,6 +132,15 @@ def _arc_sets(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
                 yield ((first, points[j]),) + inner + outer
 
 
+def _catalans(n: int) -> Iterator[tuple[int, int]]:
+    """(k, Catalan(k)) for k = 1..n, each number formed from the one before,
+    so a caller that stops at a limit never forms Catalan(n) for a huge n."""
+    catalan = 1
+    for k in range(1, n + 1):
+        catalan = catalan * 2 * (2 * k - 1) // (k + 1)
+        yield k, catalan
+
+
 @lru_cache(maxsize=None)
 def _matchings(n: int) -> tuple[Matching, ...]:
     ms = []
@@ -140,7 +155,9 @@ def _matchings(n: int) -> tuple[Matching, ...]:
 def enumerate_matchings(n: int) -> list[Matching]:
     """All non-crossing perfect matchings of 1..2n, sorted by encoding.
 
-    The count is the n-th Catalan number.
+    The count is the n-th Catalan number.  From n = 16 on it passes
+    ``_MAX_STATES``, and ``ValueError`` is raised before any matching is
+    built.
 
     >>> [str(m) for m in enumerate_matchings(2)]
     ['2,4', '4,2']
@@ -149,6 +166,13 @@ def enumerate_matchings(n: int) -> list[Matching]:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    for k, catalan in _catalans(n):
+        if catalan > _MAX_STATES:
+            at_least = "" if k == n else f" >= Catalan({k})"
+            raise ValueError(
+                f"{2 * n} points have Catalan({n}){at_least} = {catalan} "
+                f"non-crossing matchings, over the limit of {_MAX_STATES}"
+            )
     return list(_matchings(n))
 
 

@@ -192,7 +192,7 @@ def test_basis_rejects_negative(capsys):
 def test_basis_over_the_size_limit_is_rejected_at_once(capsys):
     # basis 8 walks 1430^2 pairs in about half a minute; from 9 on it never
     # finishes, and the limit is found without forming Catalan(N)
-    assert cleaved._basis_pairs(8) == 1430**2 <= diagram._MAX_STATES
+    assert cleaved._basis_pairs(8) == 1430**2 <= planar._MAX_STATES
     tail = f"= {4862**2} (inside, outside) pairs, over the limit of {2**24}\n"
     for n, bound in [("9", ""), ("30", " >= Catalan(9)^2"), ("99999999999", " >= Catalan(9)^2")]:
         for json_flag in ([], ["--json"]):
@@ -486,8 +486,10 @@ _DIGITS = "7" * 5000  # past CPython's default limit of 4,300 digits for int()
         (f"tangle x\nside inside\nendpoints 2\nboundary {_DIGITS} 1\n", 4),
         (f"tangle x\nside inside\nendpoints 2\nboundary 1 {_DIGITS}\n", 4),
         (f"tangle x\nside inside\nendpoints 0\ncross + 1 {_DIGITS} 2 1\n", 4),
+        # not decimal, so refused without int(): named by length, not echoed
+        (f"tangle x\nside inside\nendpoints 0\ncross + {_DIGITS[1:]}\u00b2 1 2 2\n", 4),
     ],
-    ids=["endpoints", "loop", "boundary-point", "boundary-edge", "cross"],
+    ids=["endpoints", "loop", "boundary-point", "boundary-edge", "cross", "cross-non-decimal"],
 )
 def test_overlong_numbers_are_parse_errors(tmp_path, capsys, text, line):
     # one short line naming file and line, without the 5,000 digits
@@ -505,7 +507,33 @@ def test_overlong_numbers_are_parse_errors(tmp_path, capsys, text, line):
 
 
 @pytest.mark.parametrize(
-    "argv", [["frob"], ["basis", "x"], []], ids=["unknown-verb", "bad-int", "no-verb"]
+    "directive, message",
+    [
+        ("cross {} 1 1 2 2", "crossing sign must be '+' or '-', got {}"),
+        ("boundary {} 1", "boundary point must be a positive integer, got {}"),
+        ("{} 1", "unknown directive {}"),
+    ],
+    ids=["sign", "boundary-point", "unknown-directive"],
+)
+def test_refused_tokens_are_quoted_up_to_a_bound(tmp_path, capsys, directive, message):
+    # up to cli._SHOWN characters a token is quoted, past that it is counted
+    for token, shown in [
+        ("x" * cli._SHOWN, repr("x" * cli._SHOWN)),
+        ("x" * (cli._SHOWN + 1), f"a token of {cli._SHOWN + 1} characters"),
+    ]:
+        text = "tangle x\nside inside\nendpoints 2\n" + directive.format(token) + "\n"
+        path = write(tmp_path, text)
+        assert run(capsys, "decat", path) == (2, "", f"{path}: line 4: {message.format(shown)}\n")
+    # a mandatory directive out of place is named the same way
+    path = write(tmp_path, "tangle x\n" + "s" * 5000 + " inside\n")
+    err = f"{path}: line 2: expected 'side' directive, got a token of 5000 characters\n"
+    assert run(capsys, "decat", path) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["frob"], ["basis", "x"], ["basis", _DIGITS], []],
+    ids=["unknown-verb", "bad-int", "overlong-int", "no-verb"],
 )
 def test_usage_errors_return_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -513,6 +541,9 @@ def test_usage_errors_return_2(capsys, argv):
     assert out == ""
     assert err.startswith("usage: tanglejones")
     assert "error:" in err
+    # the usage line, then one error line, which never echoes a long token
+    assert len(err.encode()) < 300
+    assert "7777" not in err
 
 
 def test_help_returns_0(capsys):

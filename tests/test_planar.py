@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import fields
 
 import pytest
@@ -15,7 +16,7 @@ from tanglejones import (
     enumerate_matchings,
     rotate_matching,
 )
-from tanglejones.planar import _matchings, _rotate_point
+from tanglejones.planar import _MAX_STATES, _catalans, _matchings, _rotate_point
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -43,6 +44,22 @@ def test_negative_sizes_are_rejected_and_not_cached():
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
             enumerate_matchings(n)
     assert _matchings.cache_info().currsize == before
+
+
+def test_sizes_over_the_limit_are_rejected_at_once_and_not_cached():
+    # Catalan(15) = 9,694,845 is the last one within the limit; the guard
+    # stops at Catalan(16) and never forms Catalan(n) for a huge n
+    assert list(_catalans(16))[-2:] == [(15, 9694845), (16, 35357670)]
+    assert 9694845 <= _MAX_STATES < 35357670
+    before = _matchings.cache_info()
+    tail = f"= 35357670 non-crossing matchings, over the limit of {_MAX_STATES}"
+    for n, bound in [(16, ""), (40, " >= Catalan(16)"), (10**9, " >= Catalan(16)")]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            enumerate_matchings(n)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == f"{2 * n} points have Catalan({n}){bound} {tail}"
+    assert _matchings.cache_info() == before
 
 
 def test_decode_encode():
