@@ -114,17 +114,13 @@ def _circle_count(inside: Matching, outside: Matching) -> int:
     return count
 
 
-def _basis_pairs(n: int) -> int:
-    """Catalan(n)^2, the (inside, outside) pairs the basis on 2n points walks.
-
-    Raises ``ValueError`` for an n that is not a plain int, and once the
-    count passes ``_MAX_STATES``, which happens from n = 9 on.  The Catalan
-    numbers grow one step at a time and stop at the first one over the
-    limit, so a huge n costs nothing.
-    """
+def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
+    # One (inside, outside, circle count) per cleaved link, in basis order.
+    # A non-int n, or a basis whose Catalan(n)^2 pairs pass _MAX_STATES (from
+    # n = 9 on), raises before the first; the walk stops at the first
+    # Catalan number over, so a huge n costs nothing.
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    catalan = 1
     for k, catalan in _catalans(n):
         if catalan * catalan > _MAX_STATES:
             at_least = "" if k == n else f" >= Catalan({k})^2"
@@ -132,13 +128,6 @@ def _basis_pairs(n: int) -> int:
                 f"basis {n} walks Catalan({n})^2{at_least} = {catalan * catalan} "
                 f"(inside, outside) pairs, over the limit of {_MAX_STATES}"
             )
-    return catalan * catalan
-
-
-def _blocks(n: int) -> Iterator[tuple[Matching, Matching, int]]:
-    # One (inside, outside, circle count) per cleaved link, in basis order;
-    # a basis over the size limit raises before the first one.
-    _basis_pairs(n)
     matchings = enumerate_matchings(n)
     for inside in matchings:
         for outside in matchings:

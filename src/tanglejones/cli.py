@@ -70,24 +70,25 @@ def _shown(token: str, as_repr: bool = True) -> str:
 
 def _size(token: str) -> int:
     """``int(token)`` for argparse, which words a refusal as it does for
-    ``type=int`` but names an overlong token by its length."""
-    try:
-        return int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(token)}") from None
+    ``type=int``.  A token over ``_SHOWN`` characters is refused and named by
+    its length, so no later message echoes its digits."""
+    if len(token) <= _SHOWN:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(token)}")
 
 
 def _number(token: str, lineno: int, source: str) -> int:
     """A decimal token as an int and any other token as -1.  Every number in
-    a file is read here; one with more digits than CPython's ``int`` takes
-    is a parse error that gives its length, not its digits."""
+    a file is read here; one of more than ``_SHOWN`` digits is a parse error
+    that gives its length, so no later message echoes its digits."""
     if not token.isdecimal():
         return -1
-    try:
-        return int(token)
-    except ValueError:
-        message = f"number has {len(token)} digits, more than int() reads"
-        raise ParseError(lineno, message, source) from None
+    if len(token) > _SHOWN:
+        raise ParseError(lineno, f"number has {len(token)} digits, more than {_SHOWN}", source)
+    return int(token)
 
 
 def _positive_int(token: str, what: str, lineno: int, source: str) -> int:

@@ -203,8 +203,11 @@ def _state_counts(
     labels, smoothings, ends = compiled
     visits = 2 ** len(smoothings) * (comb(2 * n, n) // (n + 1)) * 2**n
     if visits > _MAX_STATES:
+        # a product of over 64 digits is named without them, as str() refuses
+        # an int of over 4,300; comparing with 10^64 writes out no digits
+        shown = f" = {visits}" if visits < 10**64 else ""
         raise DiagramError(
-            f"the state sum visits 2^{len(smoothings)} x Catalan({n}) x 2^{n} = {visits} "
+            f"the state sum visits 2^{len(smoothings)} x Catalan({n}) x 2^{n}{shown} "
             f"states, over the limit of {_MAX_STATES}"
         )
     free0 = len(labels) - n + loops

@@ -28,8 +28,8 @@ __all__ = [
 
 # The state sum visits up to 2^crossings x Catalan(n) x 2^n decorated
 # resolutions, each far matching meeting at most n cut circles, at a few
-# microseconds each: 2^24 take minutes.  ``enumerate_matchings`` lists no
-# more matchings than this either.
+# microseconds each: 2^24 take minutes.  ``enumerate_matchings`` refuses an n
+# whose Catalan(n) x 2^n decorated matchings pass it, as no state sum takes it.
 _MAX_STATES = 2**24
 
 
@@ -40,11 +40,11 @@ class Matching:
     ``pairs[p - 1]`` is the partner of point ``p``, and ``n`` is half the
     number of points, set on construction.  Construction validates that
     ``pairs`` is a tuple of plain ints and that the pairing is a
-    fixed-point-free involution, joins odd points to even points, and has
-    no interleaved arcs, then computes the hash once: matchings are dictionary keys, alone
-    and inside every cleaved generator, so each lookup returns the stored
-    value instead of hashing the fields again.  Equality still compares the
-    fields.
+    fixed-point-free involution with no interleaved arcs; that every arc
+    joins an odd point to an even point follows from the nesting.  It then
+    computes the hash once: matchings are dictionary keys, alone and inside
+    every cleaved generator, so each lookup returns the stored value instead
+    of hashing the fields again.  Equality still compares the fields.
     """
 
     pairs: tuple[int, ...]
@@ -53,8 +53,12 @@ class Matching:
         if type(self.pairs) is not tuple:
             raise ValueError(f"pairs must be a tuple, got {self.pairs!r}")
         total = len(self.pairs)
-        for p in range(1, total + 1):
-            mate = self.pairs[p - 1]
+        # Arcs nest or are disjoint exactly when a left-to-right sweep can
+        # close each arc against the most recently opened one.  A closed arc
+        # p-q then encloses q - p - 1 points that pair among themselves, so
+        # q - p is odd: no arc joins two points of the same parity.
+        stack: list[int] = []
+        for p, mate in enumerate(self.pairs, start=1):
             if type(mate) is not int:
                 raise ValueError(f"point {p} pairs with {mate!r}, expected an integer")
             if not 1 <= mate <= total:
@@ -63,19 +67,10 @@ class Matching:
                 raise ValueError(f"point {p} pairs with itself")
             if self.pairs[mate - 1] != p:
                 raise ValueError(f"pairing is not an involution at point {p}")
-            if (p + mate) % 2 == 0:
-                raise ValueError(f"arc {p}-{mate} joins two points of the same parity")
-        # Arcs nest or are disjoint exactly when a left-to-right sweep can
-        # close each arc against the most recently opened one.
-        stack: list[int] = []
-        for p in range(1, total + 1):
-            mate = self.pairs[p - 1]
             if mate > p:
                 stack.append(p)
-            else:
-                if not stack or stack[-1] != mate:
-                    raise ValueError(f"arcs interleave at point {p}")
-                stack.pop()
+            elif stack.pop() != mate:  # mate opened an arc, so the stack holds it
+                raise ValueError(f"arcs interleave at point {p}")
         # not fields: equality, repr and fields() see only pairs
         object.__setattr__(self, "n", total // 2)
         object.__setattr__(self, "_hash", hash(self.pairs))
@@ -155,9 +150,9 @@ def _matchings(n: int) -> tuple[Matching, ...]:
 def enumerate_matchings(n: int) -> list[Matching]:
     """All non-crossing perfect matchings of 1..2n, sorted by encoding.
 
-    The count is the n-th Catalan number.  From n = 16 on it passes
-    ``_MAX_STATES``, and ``ValueError`` is raised before any matching is
-    built.
+    The count is the n-th Catalan number.  From n = 10 on, Catalan(n) x 2^n
+    (the decorated matchings a state sum visits per resolution) passes
+    ``_MAX_STATES``, and ``ValueError`` is raised before anything is built.
 
     >>> [str(m) for m in enumerate_matchings(2)]
     ['2,4', '4,2']
@@ -167,11 +162,11 @@ def enumerate_matchings(n: int) -> list[Matching]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     for k, catalan in _catalans(n):
-        if catalan > _MAX_STATES:
-            at_least = "" if k == n else f" >= Catalan({k})"
+        if catalan * 2**k > _MAX_STATES:
+            at_least = "" if k == n else f" >= Catalan({k}) x 2^{k}"
             raise ValueError(
-                f"{2 * n} points have Catalan({n}){at_least} = {catalan} "
-                f"non-crossing matchings, over the limit of {_MAX_STATES}"
+                f"{2 * n} points have Catalan({n}) x 2^{n}{at_least} = {catalan * 2**k} "
+                f"decorated matchings, over the limit of {_MAX_STATES}"
             )
     return list(_matchings(n))
 

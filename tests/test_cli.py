@@ -192,7 +192,7 @@ def test_basis_rejects_negative(capsys):
 def test_basis_over_the_size_limit_is_rejected_at_once(capsys):
     # basis 8 walks 1430^2 pairs in about half a minute; from 9 on it never
     # finishes, and the limit is found without forming Catalan(N)
-    assert cleaved._basis_pairs(8) == 1430**2 <= planar._MAX_STATES
+    assert list(planar._catalans(9))[-2:] == [(8, 1430), (9, 4862)] and 1430**2 <= planar._MAX_STATES
     tail = f"= {4862**2} (inside, outside) pairs, over the limit of {2**24}\n"
     for n, bound in [("9", ""), ("30", " >= Catalan(9)^2"), ("99999999999", " >= Catalan(9)^2")]:
         for json_flag in ([], ["--json"]):
@@ -365,6 +365,38 @@ def test_state_sums_over_the_size_limit_are_rejected_at_once(tmp_path, capsys):
     assert [len(diagram.resolve(chain, (bit,) * 40)[0]) for bit in (0, 1)] == [2, 40]
 
 
+@pytest.mark.parametrize("kinks", [212, 213, 15000])
+def test_a_state_sum_of_over_64_digits_is_named_without_them(tmp_path, capsys, kinks):
+    # 2^212 has 64 digits and is written out; 2^213 has 65, and 2^15000 has
+    # more than str() writes, so neither is
+    cross = [f"cross + {2 * i - 1} {2 * i} {2 * i} {2 * i + 1}" for i in range(1, kinks)]
+    cross.append(f"cross + {2 * kinks - 1} {2 * kinks} {2 * kinks} 1")
+    path = write(tmp_path, "tangle chain\nside inside\nendpoints 0\n" + "\n".join(cross) + "\n")
+    shown = f" = {2**kinks}" if kinks == 212 else ""
+    for verb in ("jones", "bracket", "decat"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, ""), verb
+        assert err == (
+            f"error: the state sum visits 2^{kinks} x Catalan(0) x 2^0{shown} states, "
+            f"over the limit of 16777216\n"
+        )
+        assert len(err.encode()) < 300
+
+
+def test_numbers_too_long_to_echo_are_refused_as_they_are_read(tmp_path, capsys):
+    # over cli._SHOWN digits a number is a parse error, so no later check,
+    # such as validate's edge count, echoes it; basis N is a usage error
+    path = write(tmp_path, f"tangle x\nside inside\nendpoints 0\ncross + 1 1 2 {'7' * 4000}\n")
+    assert run(capsys, "decat", path) == (2, "", f"{path}: line 4: number has 4000 digits, more than 64\n")
+    # a label of cli._SHOWN digits, used twice, still loads: one kink
+    label = "7" * cli._SHOWN
+    path = write(tmp_path, f"tangle x\nside inside\nendpoints 0\ncross + 1 {label} {label} 1\n")
+    code, out, err = run(capsys, "bracket", path)
+    assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize(
     "verb, names, calls",
     [
@@ -532,8 +564,15 @@ def test_refused_tokens_are_quoted_up_to_a_bound(tmp_path, capsys, directive, me
 
 @pytest.mark.parametrize(
     "argv",
-    [["frob"], ["basis", "x"], ["basis", _DIGITS], []],
-    ids=["unknown-verb", "bad-int", "overlong-int", "no-verb"],
+    [
+        ["frob"],
+        ["basis", "x"],
+        ["basis", _DIGITS],
+        ["basis", _DIGITS[:4000]],
+        ["basis", "-" + _DIGITS[:4000]],
+        [],
+    ],
+    ids=["unknown-verb", "bad-int", "overlong-int", "long-int", "long-negative-int", "no-verb"],
 )
 def test_usage_errors_return_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -2,8 +2,9 @@
 
 Jones's formula for torus knots gives the Jones polynomial of every braid
 closure (sigma_1 ... sigma_(p-1))^q in closed form, the determinant of a
-knot's colouring matrix gives |V(-1)|, a mirror image inverts q, a
-connected sum multiplies, Reidemeister moves I, II and III (the last as
+knot's colouring matrix gives |V(-1)| and the sign of V(i), V is 1 at a
+primitive cube root of unity, a mirror image inverts q, a connected sum
+multiplies, Reidemeister moves I, II and III (the last as
 braid relations) and Conway mutation change no invariant, a pretzel link's
 bracket is a product over its twist columns, and the exhaustive
 enumeration of ``tests/helpers.py`` checks the state sum on braid tangles
@@ -143,12 +144,13 @@ def colouring_determinant(t: TangleDiagram) -> int:
     return abs(_bareiss([row[1:] for row in rows[1:]]))
 
 
-def jones_at_minus_one(t: TangleDiagram) -> int:
-    """|V(-1)| for the Jones polynomial V of a knot, read off ``jones``.
+def jones_v(t: TangleDiagram) -> dict[int, int]:
+    """The Jones polynomial V of a knot, read off ``jones``, as a map from
+    power of t to coefficient.
 
     ``jones`` gives (q + 1/q) V(q^2).  Times q it is (1 + q^2) V(q^2) in
     integer powers of q, divided exactly by 1 + q^2 from the lowest power
-    up, and V(-1) is that quotient at q = i.
+    up; the quotient is V(q^2).
     """
     num = {e2 // 2 + 1: c for e2, c in jones(t).sorted_terms()}
     lo, hi = min(num), max(num)
@@ -157,7 +159,21 @@ def jones_at_minus_one(t: TangleDiagram) -> int:
         quot[k] = num.get(k, 0) - quot.get(k - 2, 0)
     assert [num.get(k, 0) - quot.get(k - 2, 0) for k in (hi - 1, hi)] == [0, 0], "inexact"
     assert all(k % 2 == 0 for k, c in quot.items() if c), "a knot's V has integer powers"
-    return abs(sum(c if k % 4 == 0 else -c for k, c in quot.items()))
+    return {k // 2: c for k, c in quot.items() if c}
+
+
+def _residue_sums(v: dict[int, int], m: int) -> list[int]:
+    """The sums of V's coefficients by power of t mod m."""
+    sums = [0] * m
+    for k, c in v.items():
+        sums[k % m] += c
+    return sums
+
+
+def jones_at_minus_one(t: TangleDiagram) -> int:
+    """|V(-1)| for the Jones polynomial V of a knot."""
+    even, odd = _residue_sums(jones_v(t), 2)
+    return abs(even - odd)
 
 
 def _one_cycle_braid_closures(rng: random.Random, count: int) -> list[TangleDiagram]:
@@ -214,6 +230,28 @@ def test_determinant_is_jones_at_minus_one():
     assert all(_components(t) == 1 for t in knots)
     for t in knots:
         assert colouring_determinant(t) == jones_at_minus_one(t), t.name
+
+
+def test_jones_at_roots_of_unity_sees_the_crossing_signs():
+    """V(w) = 1 at w = e^(2 pi i/3), and V(i) is +1 when det = +-1 (mod 8)
+    and -1 when det = +-3 (mod 8) (Lickorish, GTM 175; Levine 1966).
+
+    Both values are exact.  With s_r the sum of V's coefficients on powers
+    r mod 3, V(w) = (s_0 - s_2) + (s_1 - s_2) w, as 1 + w + w^2 = 0; with
+    r_j the sums mod 4, V(i) = (r_0 - r_2) + (r_1 - r_3) i.  Crossing signs
+    that shift V by t^k fail the first unless 3 divides k and the second
+    unless 4 does, where |V(-1)| never sees a shift.  It runs on the
+    generated knots, whose signs come from the geometry, and on 30 more
+    seeded one-cycle braid closures.
+    """
+    knots = _generated_knots() + _one_cycle_braid_closures(random.Random(SEED + 3), 30)
+    for t in knots:
+        v = jones_v(t)
+        s = _residue_sums(v, 3)
+        assert (s[0] - s[2], s[1] - s[2]) == (1, 0), t.name
+        det = colouring_determinant(t) % 8
+        r = _residue_sums(v, 4)
+        assert (r[0] - r[2], r[1] - r[3]) == ({1: 1, 7: 1, 3: -1, 5: -1}[det], 0), t.name
 
 
 def test_state_sum_matches_the_oracle_on_braid_tangles():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import fields
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -47,18 +48,19 @@ def test_negative_sizes_are_rejected_and_not_cached():
 
 
 def test_sizes_over_the_limit_are_rejected_at_once_and_not_cached():
-    # Catalan(15) = 9,694,845 is the last one within the limit; the guard
-    # stops at Catalan(16) and never forms Catalan(n) for a huge n
-    assert list(_catalans(16))[-2:] == [(15, 9694845), (16, 35357670)]
-    assert 9694845 <= _MAX_STATES < 35357670
+    # Catalan(9) x 2^9 = 2,489,344 decorated matchings are the last within
+    # the limit; the guard stops at Catalan(10) x 2^10 and never forms
+    # Catalan(n) for a huge n
+    assert list(_catalans(10))[-2:] == [(9, 4862), (10, 16796)]
+    assert 4862 * 2**9 <= _MAX_STATES < 16796 * 2**10
     before = _matchings.cache_info()
-    tail = f"= 35357670 non-crossing matchings, over the limit of {_MAX_STATES}"
-    for n, bound in [(16, ""), (40, " >= Catalan(16)"), (10**9, " >= Catalan(16)")]:
+    tail = f"= {16796 * 2**10} decorated matchings, over the limit of {_MAX_STATES}"
+    for n, bound in [(10, ""), (40, " >= Catalan(10) x 2^10"), (10**9, " >= Catalan(10) x 2^10")]:
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             enumerate_matchings(n)
         assert time.perf_counter() - start < 0.1
-        assert str(info.value) == f"{2 * n} points have Catalan({n}){bound} {tail}"
+        assert str(info.value) == f"{2 * n} points have Catalan({n}) x 2^{n}{bound} {tail}"
     assert _matchings.cache_info() == before
 
 
@@ -79,8 +81,8 @@ def test_invalid_matchings_rejected():
         Matching.decode((2, 6))  # 6 is outside 2..4
     with pytest.raises(ValueError):
         Matching.decode((4, 4))  # reuses 4
-    with pytest.raises(ValueError, match="same parity"):
-        Matching((3, 4, 1, 2))  # arcs 1-3 and 2-4 break parity
+    with pytest.raises(ValueError, match="^arcs interleave at point 3$"):
+        Matching((3, 4, 1, 2))  # arcs 1-3 and 2-4 interleave, and break parity
     with pytest.raises(ValueError, match="interleave"):
         Matching((4, 5, 6, 1, 2, 3))  # arcs 1-4, 3-6, 5-2: 1-4 and 3-6 interleave
     with pytest.raises(ValueError, match="^point 1 pairs with 3, outside 1..2$"):
@@ -94,6 +96,39 @@ def test_invalid_matchings_rejected():
         Matching((2, 1, 2))
     # nesting is fine
     assert Matching((4, 3, 2, 1, 6, 5)).encode() == (4, 2, 6)
+
+
+def _involutions(points: tuple[int, ...]):
+    """Every fixed-point-free involution of the points, as (p, q) arcs."""
+    if not points:
+        yield []
+        return
+    for j in range(1, len(points)):
+        for rest in _involutions(points[1:j] + points[j + 1 :]):
+            yield [(points[0], points[j]), *rest]
+
+
+def test_exactly_the_non_interleaving_involutions_are_matchings():
+    # every pairing of up to 12 points, (total - 1)!! for each total,
+    # against the definition checked arc pair by arc pair
+    seen = accepted = 0
+    for total in range(0, 13, 2):
+        for arcs in _involutions(tuple(range(1, total + 1))):
+            seen += 1
+            pairs = [0] * total
+            for p, q in arcs:
+                pairs[p - 1], pairs[q - 1] = q, p
+            crossing = any(a < c < b < d or c < a < d < b for (a, b), (c, d) in combinations(arcs, 2))
+            try:
+                Matching(tuple(pairs))
+            except ValueError as err:
+                assert crossing and str(err).startswith("arcs interleave at point "), arcs
+                continue
+            assert not crossing, arcs
+            assert all((p + q) % 2 == 1 for p, q in arcs), arcs
+            accepted += 1
+    assert seen == 1 + 1 + 3 + 15 + 105 + 945 + 10395
+    assert accepted == sum(CATALAN)
 
 
 @pytest.mark.parametrize(
